@@ -9,10 +9,12 @@ Answers "where does the time go?" for a GAlign run, in three layers:
    created the node,
 3. **histograms** — epoch-latency percentiles from the metrics registry.
 
-The tracer and profiler cost nothing until switched on: a disabled
-tracer's ``span()`` is a shared no-op, and the profiler monkey-patches
-the ``Tensor`` ops only inside ``profiler.enabled()`` (fully reverted on
-exit).  The same report is available from the command line:
+The tracer and profiler cost (almost) nothing until switched on: a
+disabled tracer's ``span()`` is a shared no-op, and an autograd op with
+no profiler entered pays one context lookup.  Inside
+``profiler.enabled()`` the profiler observes the ops run in that context
+only — nothing is patched, and profilers nest.  The same report is
+available from the command line:
 
     python -m repro.cli profile                    # synthetic workload
     python -m repro.cli align --pair /tmp/pair --trace-out trace.json

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .primitives import elementwise, free, primitive
 from .tensor import Tensor
 
 __all__ = [
@@ -29,6 +30,21 @@ __all__ = [
 ]
 
 
+def _spmm_flops(args: tuple, kwargs: dict, out: Tensor) -> tuple:
+    """2 FLOPs per stored entry per dense column; the adjoint is one spmm."""
+    sparse = args[0] if args else kwargs["sparse_matrix"]
+    cols = out.data.shape[1] if out.data.ndim == 2 else 1
+    forward = 2 * int(sparse.nnz) * int(cols)
+    return forward, forward
+
+
+def _softmax_flops(args: tuple, kwargs: dict, out: Tensor) -> tuple:
+    """Shift, exp, sum and scale: about four FLOPs per element each way."""
+    size = 4 * int(out.data.size)
+    return size, size
+
+
+@primitive("spmm", flops=_spmm_flops)
 def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Sparse @ dense product where the sparse operand is a constant.
 
@@ -50,6 +66,7 @@ def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     return Tensor._make(np.asarray(out_data), (dense,), backward)
 
 
+@primitive("concat", flops=free)
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``; gradient splits back."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -67,6 +84,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
+@primitive("stack", flops=free)
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack same-shape tensors along a new axis."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -109,6 +127,7 @@ def normalize_rows(matrix: Tensor, eps: float = 1e-12) -> Tensor:
     return matrix * inverse
 
 
+@primitive("threshold_mask", flops=elementwise)
 def threshold_mask(values: Tensor, threshold: float) -> Tensor:
     """The paper's σ_< activation (Eq 9): identity below ``threshold``, 0 above.
 
@@ -126,6 +145,7 @@ def threshold_mask(values: Tensor, threshold: float) -> Tensor:
     return Tensor._make(out_data, (values,), backward)
 
 
+@primitive("softmax", flops=_softmax_flops)
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax."""
     shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
@@ -141,6 +161,7 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (logits,), backward)
 
 
+@primitive("log_softmax", flops=_softmax_flops)
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax."""
     shifted = logits.data - logits.data.max(axis=axis, keepdims=True)

@@ -8,11 +8,14 @@ closure allocation, and one garbage graph per op.  This module removes the
 rebuild in the spirit of drjit's recorded loops and HIPS-autograd's
 explicit tape:
 
-* :class:`TapeRecorder` monkey-patches the ``Tensor`` methods and the
-  :mod:`repro.autograd.ops` primitives (the same patch points as the
-  profiler) for the duration of ONE eager epoch and records every op into
-  an explicit tape: op kind, input/output value slots, and constant
-  operands (the CSR Laplacian, scalar coefficients, index arrays).
+* :class:`TapeRecorder` is an observer of the autograd primitive
+  registry (:mod:`repro.autograd.primitives`), the same hook the
+  profiler uses.  For ONE eager epoch it records every primitive call
+  made in the context that entered it into an explicit tape: op kind,
+  input/output value slots, constant operands (the CSR Laplacian,
+  scalar coefficients, index arrays) and the op's declared FLOPs.
+  Recorders nest with each other and with profilers, and change no
+  class or module attribute.
 * :meth:`TapeRecorder.finalize` turns the recording into a :class:`Tape`:
   kernels are compiled once into per-op callables (no per-epoch closure
   allocation), graph-level passes run — GCN-layer fusion, single-consumer
@@ -21,6 +24,8 @@ explicit tape:
   values and returns ordinary output :class:`~repro.autograd.Tensor`
   objects whose ``backward()`` runs the tape's hand-scheduled reverse
   pass, accumulating into the parameters' ``.grad`` exactly like eager.
+  Each replayed kernel is reported to the current observers, so a
+  profiler sees compiled execution where it saw eager execution.
 
 Bitwise contract
 ----------------
@@ -66,14 +71,13 @@ unknown) and raises at capture time.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from .primitives import OpEvent, attach, detach, notify, observers
 from .tensor import Tensor, _index_add, _unbroadcast
 
 __all__ = ["TapeRecorder", "Tape", "watch"]
@@ -101,43 +105,6 @@ _INPLACE_CAPABLE = frozenset({
     "add", "sub", "mul", "div", "neg", "pow", "tanh", "relu",
     "sqrt", "abs", "log", "clip_min", "exp",
 })
-
-#: Tensor method attributes per op kind (the profiler's patch table);
-#: reflected aliases are separate class-dict entries for the same
-#: function and must be patched individually.
-_TENSOR_METHODS: Dict[str, Tuple[str, ...]] = {
-    "add": ("__add__", "__radd__"),
-    "neg": ("__neg__",),
-    "sub": ("__sub__",),
-    "mul": ("__mul__", "__rmul__"),
-    "div": ("__truediv__",),
-    "pow": ("__pow__",),
-    "matmul": ("matmul", "__matmul__"),
-    "transpose": ("transpose",),
-    "reshape": ("reshape",),
-    "getitem": ("__getitem__",),
-    "sum": ("sum",),
-    "tanh": ("tanh",),
-    "relu": ("relu",),
-    "sigmoid": ("sigmoid",),
-    "exp": ("exp",),
-    "log": ("log",),
-    "sqrt": ("sqrt",),
-    "abs": ("abs",),
-    "clip_min": ("clip_min",),
-}
-
-#: Primitive free functions in repro.autograd.ops.  Composites
-#: (row_norms, normalize_rows, ...) decompose into recorded primitives.
-_OPS_FUNCTIONS: Tuple[str, ...] = (
-    "spmm",
-    "concat",
-    "stack",
-    "threshold_mask",
-    "softmax",
-    "log_softmax",
-)
-
 
 def _positional(args: tuple, kwargs: dict, position: int, name: str,
                 default: Any) -> Any:
@@ -194,35 +161,31 @@ class _TapeOp:
                  "flops", "bwd_flops", "shape")
 
     def __init__(self, kind: str, inputs: Tuple[int, ...], out: int,
-                 meta: dict) -> None:
+                 meta: dict, flops: int, bwd_flops: int) -> None:
         self.kind = kind
         self.inputs = inputs
         self.out = out
         self.meta = meta
         self.fwd: Optional[Callable[[], None]] = None
         self.bwd: Optional[Callable[[list, np.ndarray], None]] = None
-        self.flops = 0
-        self.bwd_flops = 0
+        self.flops = flops
+        self.bwd_flops = bwd_flops
         self.shape: tuple = ()
-
-
-# Process-global capture guard: patching rewrites shared classes/modules.
-_capture_lock = threading.Lock()
-_active_recorder: Optional["TapeRecorder"] = None
 
 
 def watch(tensor: Tensor, label: str) -> Tensor:
     """Register ``tensor``'s value under ``label`` for replay read-back.
 
     A no-op outside capture.  During capture the tensor's slot is
-    recorded; :meth:`Tape.replay` returns ``{label: value}`` with values
-    summed in registration order starting from ``0.0`` — the same float
+    recorded by every recorder entered in this context;
+    :meth:`Tape.replay` returns ``{label: value}`` with values summed in
+    registration order starting from ``0.0`` — the same float
     accumulation an eager ``value += float(t.data)`` loop performs, so
     watched diagnostics stay bitwise comparable in float64.
     """
-    recorder = _active_recorder
-    if recorder is not None:
-        recorder._watch(tensor, label)
+    for observer in observers():
+        if isinstance(observer, TapeRecorder):
+            observer._watch(tensor, label)
     return tensor
 
 
@@ -254,77 +217,26 @@ class TapeRecorder:
         self._slot_by_id: Dict[int, int] = {}
         self._op_index_by_out_id: Dict[int, int] = {}
         self._keepalive: List[Tensor] = []
-        self._patches: List[Tuple[Any, str, Any]] = []
         self._entered = False
+        self._capturing = False
 
     # -- context management --------------------------------------------
     def __enter__(self) -> "TapeRecorder":
-        global _active_recorder
         if self._entered:
             raise RuntimeError("a TapeRecorder cannot be re-entered")
-        with _capture_lock:
-            if _active_recorder is not None:
-                raise RuntimeError(
-                    "another TapeRecorder is already capturing; tape "
-                    "patches are process-global and cannot nest"
-                )
-            _active_recorder = self
-        try:
-            self._install()
-        except BaseException:
-            with _capture_lock:
-                _active_recorder = None
-            raise
-        self._entered = True
+        attach(self)
+        self._entered = self._capturing = True
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _active_recorder
-        self._uninstall()
-        with _capture_lock:
-            _active_recorder = None
+        detach(self)
+        self._capturing = False
 
-    def _install(self) -> None:
-        from . import ops as ops_module
-
-        for kind, attrs in _TENSOR_METHODS.items():
-            wrapper = None
-            for attr in attrs:
-                original = getattr(Tensor, attr)
-                if wrapper is None:
-                    wrapper = self._make_wrapper(kind, original)
-                self._patches.append((Tensor, attr, original))
-                setattr(Tensor, attr, wrapper)
-        for func_name in _OPS_FUNCTIONS:
-            original = getattr(ops_module, func_name)
-            wrapper = self._make_wrapper(func_name, original)
-            # Rebind every module-level reference (``from repro.autograd
-            # import spmm`` included) by identity scan, profiler-style.
-            for module in list(sys.modules.values()):
-                namespace = getattr(module, "__dict__", None)
-                if not isinstance(namespace, dict):
-                    continue
-                for attr, value in list(namespace.items()):
-                    if value is original:
-                        self._patches.append((module, attr, original))
-                        setattr(module, attr, wrapper)
-
-    def _uninstall(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
-            setattr(owner, attr, original)
-
-    def _make_wrapper(self, kind: str, original: Callable) -> Callable:
-        recorder = self
-
-        def recorded(*args, **kwargs):
-            out = original(*args, **kwargs)
-            recorder._record(kind, args, kwargs, out)
-            return out
-
-        recorded.__name__ = getattr(original, "__name__", kind)
-        recorded.__doc__ = original.__doc__
-        return recorded
+    def on_op(self, event: OpEvent) -> None:
+        """Record one eager primitive call (timed-only events carry no
+        call: backward closures and other tapes' replayed kernels)."""
+        if event.out is not None:
+            self._record(event)
 
     # -- slot bookkeeping ----------------------------------------------
     def _new_slot(self, kind: int, shape: tuple, requires: bool) -> int:
@@ -361,16 +273,17 @@ class TapeRecorder:
         self.slot_consts[slot] = data
         return slot
 
-    def _record(self, kind: str, args: tuple, kwargs: dict,
-                out: Tensor) -> None:
-        operands, meta = _split_op(kind, args, kwargs)
+    def _record(self, event: OpEvent) -> None:
+        out = event.out
+        operands, meta = _split_op(event.op, event.args, event.kwargs)
         input_slots = tuple(self._slot_for(value) for value in operands)
         out_slot = self._new_slot(_SLOT_OP, out.data.shape,
                                   out.requires_grad)
         self._slot_by_id[id(out)] = out_slot
         self._op_index_by_out_id[id(out)] = len(self.ops)
         self._keepalive.append(out)
-        self.ops.append(_TapeOp(kind, input_slots, out_slot, meta))
+        self.ops.append(_TapeOp(event.op, input_slots, out_slot, meta,
+                                event.flops, event.backward_flops))
 
     def _watch(self, tensor: Tensor, label: str) -> None:
         self.watches.append((label, self._slot_for(tensor)))
@@ -408,7 +321,7 @@ class TapeRecorder:
         """
         if self._entered is False:
             raise RuntimeError("finalize() requires a completed capture")
-        if _active_recorder is self:
+        if self._capturing:
             raise RuntimeError("finalize() must be called after the "
                                "recorder context exits")
         if dtype not in ("float64", "float32"):
@@ -452,35 +365,6 @@ class TapeRecorder:
             reuse_buffers=reuse_buffers,
             dtype=dtype,
         )
-
-
-def _op_flops(kind: str, in_shapes: Sequence[tuple], out_shape: tuple,
-              meta: dict) -> Tuple[int, int]:
-    """(forward, backward) FLOP estimates from static shapes."""
-    out_size = int(np.prod(out_shape)) if out_shape else 1
-    if kind == "matmul":
-        m, k = in_shapes[0] if len(in_shapes[0]) == 2 else (1, 1)
-        n = out_size // m if m else 0
-        forward = 2 * m * k * n
-        return forward, 2 * forward
-    if kind == "spmm":
-        cols = out_shape[-1] if out_shape else 1
-        forward = 2 * int(meta["csr"].nnz) * int(cols)
-        return forward, forward
-    if kind == "gcn_layer":
-        m, k = in_shapes[0]
-        n = in_shapes[1][-1]
-        matmul = 2 * m * k * n
-        spmm = 2 * int(meta["csr"].nnz) * int(n)
-        return matmul + spmm + out_size, 2 * matmul + spmm + out_size
-    if kind in ("transpose", "reshape", "getitem", "concat", "stack"):
-        return 0, 0
-    if kind in ("softmax", "log_softmax"):
-        return 4 * out_size, 4 * out_size
-    if kind == "sum":
-        in_size = int(np.prod(in_shapes[0])) if in_shapes[0] else 1
-        return in_size, in_size
-    return out_size, out_size
 
 
 #: Per-kind value dependencies of the backward kernel: which of the op's
@@ -538,7 +422,8 @@ class Tape:
                 array = array.astype(self.dtype)
             self._values[slot] = array
         ops = [
-            _TapeOp(op.kind, op.inputs, op.out, dict(op.meta))
+            _TapeOp(op.kind, op.inputs, op.out, dict(op.meta), op.flops,
+                    op.bwd_flops)
             for op in recorder.ops
         ]
         for op in ops:
@@ -552,14 +437,9 @@ class Tape:
         self._backward_ops = [forward[i] for i in backward_order]
         self._plan_buffers(reuse_buffers)
         for op in self._forward:
-            in_shapes = [self._slot_shapes[s] for s in op.inputs]
             op.shape = self._slot_shapes[op.out]
-            op.flops, op.bwd_flops = _op_flops(
-                op.kind, in_shapes, op.shape, op.meta
-            )
             op.fwd = self._build_fwd(op)
             op.bwd = self._build_bwd(op)
-        self._profiler_hook = None
 
     # -- graph passes ---------------------------------------------------
     def _consumer_counts(self, ops: List[_TapeOp]) -> Dict[int, int]:
@@ -603,10 +483,12 @@ class Tape:
             ):
                 continue
             act_op = ops[act_index]
+            chain = (op, spmm_op, act_op)
             fused = _TapeOp(
                 "gcn_layer", op.inputs, act_op.out,
-                {"csr": spmm_op.meta["csr"],
-                 "activation": ops[act_index].kind},
+                {"csr": spmm_op.meta["csr"], "activation": act_op.kind},
+                sum(part.flops for part in chain),
+                sum(part.bwd_flops for part in chain),
             )
             self._slot_requires[fused.out] = (
                 self._slot_requires[act_op.out]
@@ -1044,13 +926,6 @@ class Tape:
                 data = data.astype(self.dtype)
             self._values[slot] = data
 
-    def _active_profiler(self):
-        # Lazy import: autograd must not depend on observability at
-        # import time (observability imports autograd lazily too).
-        from ..observability.profiler import active_profiler
-
-        return active_profiler()
-
     def replay(self) -> Tuple[List[Tensor], Dict[str, float]]:
         """Execute the tape forward; return output tensors + watch values.
 
@@ -1063,21 +938,20 @@ class Tape:
         """
         from ..observability import get_tracer
 
-        profiler = self._active_profiler()
+        targets = observers()
         with get_tracer().span("tape.replay", ops=len(self._forward)):
             self._load_params()
-            if profiler is None:
+            if not targets:
                 for op in self._forward:
                     op.fwd()
             else:
                 for op in self._forward:
                     started = time.perf_counter()
                     op.fwd()
-                    profiler.record_external(
-                        op.kind, "forward",
-                        started, time.perf_counter() - started,
-                        op.flops, op.shape,
-                    )
+                    notify(targets, OpEvent(
+                        op.kind, "forward", started,
+                        time.perf_counter() - started, op.flops, op.shape,
+                    ))
         watched: Dict[str, float] = {}
         for label, slot in self._watches:
             watched[label] = watched.get(label, 0.0) + float(
@@ -1090,8 +964,8 @@ class Tape:
         for slot, seed in zip(self._output_slots, seeds):
             if seed is not None:
                 self._acc(grads, slot, seed)
-        profiler = self._active_profiler()
-        if profiler is None:
+        targets = observers()
+        if not targets:
             for op in self._backward_ops:
                 grad = grads[op.out]
                 if grad is not None:
@@ -1103,11 +977,10 @@ class Tape:
                 continue
             started = time.perf_counter()
             op.bwd(grads, grad)
-            profiler.record_external(
-                op.kind, "backward",
-                started, time.perf_counter() - started,
-                op.bwd_flops, op.shape,
-            )
+            notify(targets, OpEvent(
+                op.kind, "backward", started,
+                time.perf_counter() - started, op.bwd_flops, op.shape,
+            ))
 
     def _wrap_outputs(self) -> List[Tensor]:
         tape = self

@@ -13,6 +13,9 @@ Design notes
 * The graph is built implicitly: every op records its parent tensors and a
   local vector-Jacobian product.  :meth:`Tensor.backward` topologically sorts
   the graph and accumulates gradients.
+* Every op that creates a graph node is declared an autograd primitive
+  (:mod:`repro.autograd.primitives`) with its FLOP formula, which is how
+  the profiler and tape capture observe it.
 * Broadcasting follows numpy semantics; gradients of broadcast operands are
   reduced back to the operand's shape by :func:`_unbroadcast`.
 * Sparse inputs: graph convolutions multiply a *constant* sparse matrix
@@ -26,6 +29,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+
+from .primitives import elementwise, free, primitive
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -116,6 +121,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _matmul_flops(args: tuple, kwargs: dict, out: "Tensor") -> tuple:
+    """2mkn forward; the reverse pass is two products of the same size."""
+    a = args[0].data
+    if a.ndim == 2:
+        m, k = a.shape
+        forward = 2 * m * k * (out.data.size // m if m else 0)
+    else:
+        forward = 2 * out.data.size
+    return forward, 2 * forward
+
+
+def _sum_flops(args: tuple, kwargs: dict, out: "Tensor") -> tuple:
+    """One add per input element; the adjoint broadcasts as many."""
+    size = int(args[0].data.size)
+    return size, size
 
 
 class Tensor:
@@ -291,6 +313,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
+    @primitive("add", flops=elementwise)
     def __add__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data + other_t.data
@@ -305,12 +328,14 @@ class Tensor:
 
     __radd__ = __add__
 
+    @primitive("neg", flops=elementwise)
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
         return Tensor._make(-self.data, (self,), backward)
 
+    @primitive("sub", flops=elementwise)
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data - other_t.data
@@ -326,6 +351,7 @@ class Tensor:
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).__sub__(self)
 
+    @primitive("mul", flops=elementwise)
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other_t.data
@@ -340,6 +366,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    @primitive("div", flops=elementwise)
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data / other_t.data
@@ -355,6 +382,7 @@ class Tensor:
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).__truediv__(self)
 
+    @primitive("pow", flops=elementwise)
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -368,6 +396,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Matrix ops
     # ------------------------------------------------------------------
+    @primitive("matmul", flops=_matmul_flops)
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product ``self @ other`` (2-D operands)."""
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -386,6 +415,7 @@ class Tensor:
     def __rmatmul__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).matmul(self)
 
+    @primitive("transpose", flops=free)
     def transpose(self) -> "Tensor":
         """2-D transpose."""
         def backward(grad: np.ndarray) -> None:
@@ -393,6 +423,7 @@ class Tensor:
 
         return Tensor._make(self.data.T, (self,), backward)
 
+    @primitive("reshape", flops=free)
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -404,6 +435,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("getitem", flops=free)
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
@@ -417,6 +449,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
+    @primitive("sum", flops=_sum_flops)
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
         in_shape = self.data.shape
@@ -440,6 +473,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise nonlinearities (used by the GCN and baselines)
     # ------------------------------------------------------------------
+    @primitive("tanh", flops=elementwise)
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
@@ -448,6 +482,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("relu", flops=elementwise)
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0.0)
 
@@ -456,6 +491,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("sigmoid", flops=elementwise)
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
 
@@ -464,6 +500,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("exp", flops=elementwise)
     def exp(self) -> "Tensor":
         out_data = np.exp(np.clip(self.data, -700.0, 700.0))
 
@@ -472,6 +509,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("log", flops=elementwise)
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
 
@@ -480,6 +518,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("sqrt", flops=elementwise)
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
 
@@ -488,6 +527,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("abs", flops=elementwise)
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
 
@@ -496,6 +536,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("clip_min", flops=elementwise)
     def clip_min(self, minimum: float) -> "Tensor":
         """Elementwise ``max(x, minimum)``; gradient passes where x > minimum."""
         out_data = np.maximum(self.data, minimum)

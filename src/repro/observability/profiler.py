@@ -2,16 +2,19 @@
 
 The GAlign cost profile is dominated by the multi-order GCN
 forward/backward (Eq 8-10); this module measures it at the operation
-level.  Inside a ``with profiler.enabled():`` block every
-:class:`~repro.autograd.Tensor` op — the arithmetic/matmul/reduction
-methods plus the free functions in :mod:`repro.autograd.ops` (``spmm``,
-``softmax``, ...) — is wrapped so that:
+level.  An :class:`OpProfiler` is an observer of the autograd primitive
+registry (:mod:`repro.autograd.primitives`).  Inside a
+``with profiler.enabled():`` block every primitive op — the
+arithmetic/matmul/reduction ``Tensor`` methods plus ``spmm``,
+``softmax``, ... in :mod:`repro.autograd.ops` — reports to it, so that:
 
 * the forward call is timed and tagged with op name, output shape, and
-  estimated FLOPs (``matmul``/``spmm`` get exact FLOP formulas,
+  the FLOPs its primitive declares (``matmul``/``spmm`` exact formulas,
   elementwise ops size-based estimates);
-* the backward closure the op registered is wrapped too, so the reverse
+* the backward closure the op registered is timed too, so the reverse
   pass is attributed to the op that created it;
+* compiled tape kernels (fused ``gcn_layer`` included) report through
+  the same hook when :meth:`repro.autograd.Tape.replay` runs;
 * when a :class:`~repro.observability.trace.Tracer` is active, each call
   additionally lands in the trace as an ``op.<name>`` event, nested
   under whatever span (epoch, refinement iteration) was open.
@@ -19,112 +22,26 @@ methods plus the free functions in :mod:`repro.autograd.ops` (``spmm``,
 Everything aggregates into a per-op table — calls, total/self time,
 FLOPs, effective GFLOP/s — via :func:`format_op_table`.
 
-Zero cost when disabled
------------------------
-Instrumentation is installed by *monkey-patching at enable time* and
-fully removed at exit: outside ``profiler.enabled()`` the ``Tensor``
-class and the op functions are the original objects, so profiled-off
-overhead is zero by construction (asserted, together with the bounded
-profiled-on overhead, in ``benchmarks/test_profiler_overhead.py``).
-Free functions are re-bound in every module that imported them by
-identity scan over ``sys.modules`` (``from repro.autograd import spmm``
-references included), and restored the same way.
-
-Only one profiler can be enabled at a time (patching is process-global);
-ops are recorded from any thread, with per-thread nesting stacks so
-self-time stays correct if composites ever nest.
+Scoping and cost
+----------------
+Entering a profiler adds it to the current context's observers and
+changes no class or module attribute.  It sees only ops run in the
+context that entered it (another thread is not profiled), profilers
+nest (each records the same calls), and a profiler may be entered in
+several threads at once, aggregating into one table.  Outside any
+observer a primitive costs one context lookup (the bounds are asserted
+in ``benchmarks/test_profiler_overhead.py``).
 """
 
 from __future__ import annotations
 
-import sys
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..autograd.primitives import OpEvent, attach, detach
 from .trace import Tracer, get_tracer
 
-__all__ = ["OpProfiler", "OpStat", "format_op_table", "active_profiler"]
-
-
-#: op name → Tensor attribute names sharing that implementation.  The
-#: reflected aliases (``__radd__``/``__rmul__``) are separate class-dict
-#: entries for the same function and must be patched (and restored)
-#: individually; ``__rsub__``/``__rtruediv__``/``__rmatmul__`` delegate
-#: through the forward method at call time and need no patch.
-_TENSOR_METHODS: Dict[str, Tuple[str, ...]] = {
-    "add": ("__add__", "__radd__"),
-    "neg": ("__neg__",),
-    "sub": ("__sub__",),
-    "mul": ("__mul__", "__rmul__"),
-    "div": ("__truediv__",),
-    "pow": ("__pow__",),
-    "matmul": ("matmul", "__matmul__"),
-    "transpose": ("transpose",),
-    "reshape": ("reshape",),
-    "getitem": ("__getitem__",),
-    "sum": ("sum",),
-    "tanh": ("tanh",),
-    "relu": ("relu",),
-    "sigmoid": ("sigmoid",),
-    "exp": ("exp",),
-    "log": ("log",),
-    "sqrt": ("sqrt",),
-    "abs": ("abs",),
-    "clip_min": ("clip_min",),
-}
-
-#: Free functions in repro.autograd.ops that are primitives (do their
-#: numeric work directly).  Composites built from profiled primitives
-#: (row_norms, frobenius_norm, normalize_rows) are deliberately absent —
-#: profiling them would double-count their constituent ops.
-_OPS_FUNCTIONS: Tuple[str, ...] = (
-    "spmm",
-    "concat",
-    "stack",
-    "threshold_mask",
-    "softmax",
-    "log_softmax",
-)
-
-#: Backward-to-forward FLOP ratio per op.  matmul's reverse pass is two
-#: matmuls (grad @ Bᵀ and Aᵀ @ grad) → 2×; spmm's is one spmm → 1×;
-#: elementwise adjoints cost about their forward; data-movement ops stay
-#: at zero.
-_BACKWARD_FLOP_FACTOR: Dict[str, float] = {"matmul": 2.0}
-
-
-def _size(value: Any) -> int:
-    data = getattr(value, "data", value)
-    return int(getattr(data, "size", 1))
-
-
-def _estimate_flops(op: str, args: tuple, out: Any) -> int:
-    """Forward-pass FLOP estimate for one op call."""
-    try:
-        if op == "matmul":
-            a = getattr(args[0], "data", args[0])
-            if a.ndim == 2:
-                m, k = a.shape
-                n = _size(out) // m if m else 0
-                return 2 * m * k * n
-            return 2 * _size(out)
-        if op == "spmm":
-            sparse = args[0]
-            dense = args[1]
-            cols = getattr(dense, "data", dense).shape[-1]
-            return 2 * int(sparse.nnz) * int(cols)
-        if op in ("transpose", "reshape", "getitem", "concat", "stack"):
-            return 0
-        if op in ("softmax", "log_softmax"):
-            return 4 * _size(out)
-        if op == "sum":
-            return _size(args[0])
-        # Elementwise arithmetic and nonlinearities: one (or a few)
-        # flops per output element — size-based estimate.
-        return _size(out)
-    except (AttributeError, IndexError, TypeError):
-        return 0
+__all__ = ["OpProfiler", "OpStat", "format_op_table"]
 
 
 class OpStat:
@@ -157,22 +74,6 @@ class OpStat:
         }
 
 
-# Process-global guard: patching rewrites shared classes/modules, so two
-# concurrently enabled profilers would corrupt each other's restore.
-_active_lock = threading.Lock()
-_active_profiler: Optional["OpProfiler"] = None
-
-
-def active_profiler() -> Optional["OpProfiler"]:
-    """The currently enabled profiler, if any.
-
-    Compiled execution (:mod:`repro.autograd.tape`) bypasses the eager
-    patch points, so the tape replay loop asks for the active profiler
-    explicitly and reports its kernels via :meth:`OpProfiler.record_external`.
-    """
-    return _active_profiler
-
-
 class OpProfiler:
     """Aggregates per-op forward/backward timings and FLOPs.
 
@@ -193,200 +94,38 @@ class OpProfiler:
         self.trace_ops = bool(trace_ops)
         self._stats: Dict[Tuple[str, str], OpStat] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._patches: List[Tuple[Any, str, Any]] = []
-        self._active = False
 
     # -- enable / disable ----------------------------------------------
     def enabled(self) -> "OpProfiler":
-        """``with profiler.enabled(): ...`` installs the op hooks."""
+        """``with profiler.enabled(): ...`` starts observing ops."""
         return self
 
     def __enter__(self) -> "OpProfiler":
-        global _active_profiler
-        with _active_lock:
-            if _active_profiler is not None:
-                raise RuntimeError(
-                    "another OpProfiler is already enabled; profiling "
-                    "patches are process-global and cannot nest"
-                )
-            _active_profiler = self
-        try:
-            self._install()
-        except BaseException:
-            with _active_lock:
-                _active_profiler = None
-            raise
-        self._active = True
+        attach(self)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _active_profiler
-        self._active = False
-        self._uninstall()
-        with _active_lock:
-            _active_profiler = None
-
-    def _install(self) -> None:
-        from ..autograd.tensor import Tensor
-        from ..autograd import ops as ops_module
-
-        for op_name, attrs in _TENSOR_METHODS.items():
-            wrapper = None
-            for attr in attrs:
-                original = getattr(Tensor, attr)
-                if wrapper is None:
-                    wrapper = self._make_wrapper(op_name, original)
-                self._patches.append((Tensor, attr, original))
-                setattr(Tensor, attr, wrapper)
-        for func_name in _OPS_FUNCTIONS:
-            original = getattr(ops_module, func_name)
-            wrapper = self._make_wrapper(func_name, original)
-            # Rebind every module-level reference to the function —
-            # ``from repro.autograd import spmm`` imports included.
-            for module in list(sys.modules.values()):
-                namespace = getattr(module, "__dict__", None)
-                if not isinstance(namespace, dict):
-                    continue
-                for attr, value in list(namespace.items()):
-                    if value is original:
-                        self._patches.append((module, attr, original))
-                        setattr(module, attr, wrapper)
-
-    def _uninstall(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
-            setattr(owner, attr, original)
+        detach(self)
 
     # -- recording ------------------------------------------------------
-    def _frames(self) -> List[float]:
-        frames = getattr(self._local, "frames", None)
-        if frames is None:
-            frames = self._local.frames = []
-        return frames
-
-    def _record(
-        self,
-        op: str,
-        direction: str,
-        elapsed: float,
-        self_time: float,
-        flops: int,
-    ) -> None:
-        key = (op, direction)
+    def on_op(self, event: OpEvent) -> None:
+        """Book one kernel call (eager op, its backward, or tape replay)."""
+        key = (event.op, event.direction)
         with self._lock:
             stat = self._stats.get(key)
             if stat is None:
-                stat = self._stats[key] = OpStat(op, direction)
+                stat = self._stats[key] = OpStat(event.op, event.direction)
             stat.calls += 1
-            stat.total_time += elapsed
-            stat.self_time += self_time
-            stat.flops += flops
-
-    def _trace(
-        self, name: str, started: float, elapsed: float, **attrs: Any
-    ) -> None:
-        if not self.trace_ops:
-            return
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        tracer.add_event(name, started, elapsed, **attrs)
-
-    def _make_wrapper(self, op_name: str, original: Callable) -> Callable:
-        profiler = self
-
-        def profiled(*args, **kwargs):
-            frames = profiler._frames()
-            frames.append(0.0)
-            started = time.perf_counter()
-            try:
-                out = original(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - started
-                child_time = frames.pop()
-                if frames:
-                    frames[-1] += elapsed
-            flops = _estimate_flops(op_name, args, out)
-            profiler._record(
-                op_name, "forward", elapsed, elapsed - child_time, flops
+            stat.total_time += event.elapsed
+            stat.self_time += event.elapsed
+            stat.flops += event.flops
+        if self.trace_ops:
+            tracer = self.tracer if self.tracer is not None else get_tracer()
+            suffix = "" if event.direction == "forward" else ".backward"
+            tracer.add_event(
+                f"op.{event.op}{suffix}", event.started, event.elapsed,
+                shape=list(event.shape), flops=event.flops,
             )
-            shape = tuple(getattr(out, "shape", ()))
-            profiler._trace(
-                f"op.{op_name}", started, elapsed,
-                shape=list(shape), flops=flops,
-            )
-            backward = getattr(out, "_backward", None)
-            if backward is not None:
-                out._backward = profiler._wrap_backward(
-                    op_name, backward, flops, shape
-                )
-            return out
-
-        profiled.__name__ = getattr(original, "__name__", op_name)
-        profiled.__qualname__ = getattr(
-            original, "__qualname__", profiled.__name__
-        )
-        profiled.__doc__ = original.__doc__
-        return profiled
-
-    def _wrap_backward(
-        self,
-        op_name: str,
-        backward: Callable,
-        forward_flops: int,
-        shape: tuple,
-    ) -> Callable:
-        profiler = self
-        flops = int(forward_flops * _BACKWARD_FLOP_FACTOR.get(op_name, 1.0))
-
-        def profiled_backward(grad):
-            if not profiler._active:
-                # backward() ran after the profiler context closed (the
-                # tensor outlived it); stay out of the books.
-                return backward(grad)
-            frames = profiler._frames()
-            frames.append(0.0)
-            started = time.perf_counter()
-            try:
-                return backward(grad)
-            finally:
-                elapsed = time.perf_counter() - started
-                child_time = frames.pop()
-                if frames:
-                    frames[-1] += elapsed
-                profiler._record(
-                    op_name, "backward", elapsed, elapsed - child_time, flops
-                )
-                profiler._trace(
-                    f"op.{op_name}.backward", started, elapsed,
-                    shape=list(shape), flops=flops,
-                )
-
-        return profiled_backward
-
-    def record_external(
-        self,
-        op: str,
-        direction: str,
-        started: float,
-        elapsed: float,
-        flops: int,
-        shape: tuple = (),
-    ) -> None:
-        """Book one externally-timed kernel call (tape replay path).
-
-        Compiled tape kernels never pass through the monkey-patched op
-        wrappers, so the replay loop times them itself and lands them
-        here; they aggregate into the same table (``gcn_layer`` fused
-        kernels included) and emit the same ``op.<name>`` trace events.
-        """
-        if not self._active:
-            return
-        self._record(op, direction, elapsed, elapsed, int(flops))
-        suffix = "" if direction == "forward" else f".{direction}"
-        self._trace(
-            f"op.{op}{suffix}", started, elapsed,
-            shape=list(shape), flops=int(flops),
-        )
 
     # -- results --------------------------------------------------------
     def stats(self) -> List[OpStat]:
@@ -397,7 +136,8 @@ class OpProfiler:
             )
 
     def total_time(self, direction: Optional[str] = None) -> float:
-        """Summed *self* time (nesting-safe) across ops."""
+        """Summed self time across ops (primitives never nest, so it
+        equals the total)."""
         with self._lock:
             return sum(
                 stat.self_time

@@ -267,3 +267,24 @@ class TestDropoutMask:
             dropout_mask((2, 2), 1.0, rng)
         with pytest.raises(ValueError):
             dropout_mask((2, 2), -0.1, rng)
+
+
+class TestPrimitiveRegistry:
+    def test_every_graph_op_is_declared_once(self):
+        from repro.autograd.primitives import PRIMITIVES
+
+        assert len(PRIMITIVES) == 25  # 19 Tensor methods + 6 ops functions
+        for name in ("matmul", "spmm", "concat", "softmax", "getitem"):
+            assert name in PRIMITIVES
+
+    def test_redeclaring_an_op_name_is_rejected(self):
+        from repro.autograd.primitives import free, primitive
+
+        with pytest.raises(ValueError, match="already declared"):
+            primitive("matmul", flops=free)
+
+    def test_declared_op_keeps_its_name_and_docstring(self):
+        assert spmm.__name__ == "spmm"
+        assert "Sparse @ dense" in spmm.__doc__
+        assert Tensor.matmul.__name__ == "matmul"
+        assert Tensor.__radd__ is Tensor.__add__

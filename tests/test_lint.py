@@ -43,10 +43,20 @@ Autograd encapsulation
 ----------------------
 ``Tensor._make`` is the raw graph-node constructor: it wires parents
 and a backward closure with no validation, and the tape/profiler
-machinery assumes every node is produced by the patched public ops.  A
-``._make`` call outside ``repro.autograd`` would create graph nodes the
-tape cannot capture and the profiler cannot attribute, so the lint bans
-it everywhere else under ``src/repro``.
+machinery assumes every node is produced by a registered primitive op.
+A ``._make`` call outside ``repro.autograd`` would create graph nodes
+the tape cannot capture and the profiler cannot attribute, so the lint
+bans it everywhere else under ``src/repro``.  Inside ``repro.autograd``
+every function that calls ``._make`` must be declared with
+``@primitive(name, flops=...)``, so a new op cannot be silently
+invisible to the profiler and the tape.
+
+Dispatch hygiene
+----------------
+Ops are observed through the primitive registry's per-context
+observers, never by rewriting shared state: ``setattr(Tensor, ...)``
+and iteration over ``sys.modules`` (the identity scans that rebind
+imported functions) are banned under ``src/repro``.
 """
 
 import ast
@@ -220,6 +230,101 @@ def _make_violations(path, label=None):
     return found
 
 
+def _is_primitive_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (
+        isinstance(target, ast.Name) and target.id == "primitive"
+    ) or (
+        isinstance(target, ast.Attribute) and target.attr == "primitive"
+    )
+
+
+def _own_make_calls(function):
+    """``._make`` calls in ``function``'s body, nested defs excluded."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_make"
+        ):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _primitive_violations(path, label=None):
+    label = label if label is not None else str(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(_is_primitive_decorator(d) for d in node.decorator_list):
+            continue
+        for call in _own_make_calls(node):
+            found.append(
+                f"{label}:{call.lineno}: {node.name}() calls ._make() but "
+                "is not declared with @primitive(name, flops=...); the "
+                "profiler and the tape would never see its nodes"
+            )
+    return found
+
+
+_ITERATING_CALLS = {"list", "tuple", "set", "sorted", "dict", "iter",
+                    "enumerate"}
+
+
+def _is_sys_modules(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "modules"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    )
+
+
+def _dispatch_violations(path, label=None):
+    label = label if label is not None else str(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            if _is_sys_modules(node.iter):
+                found.append(f"{label}:{node.iter.lineno}: iteration over "
+                             "sys.modules — observe ops through the "
+                             "primitive registry instead")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("values", "items", "keys", "copy")
+                and _is_sys_modules(func.value)
+            ) or (
+                isinstance(func, ast.Name)
+                and func.id in _ITERATING_CALLS
+                and any(_is_sys_modules(arg) for arg in node.args)
+            ):
+                found.append(f"{label}:{node.lineno}: iteration over "
+                             "sys.modules — observe ops through the "
+                             "primitive registry instead")
+            elif (
+                isinstance(func, ast.Name)
+                and func.id == "setattr"
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == "Tensor"
+            ):
+                found.append(f"{label}:{node.lineno}: setattr(Tensor, ...) "
+                             "— declare ops with @primitive and observe "
+                             "them instead of patching the class")
+    return found
+
+
 def test_source_tree_exists():
     assert SRC_ROOT.is_dir(), f"expected library sources at {SRC_ROOT}"
     assert list(SRC_ROOT.rglob("*.py")), "no python modules found to lint"
@@ -338,6 +443,99 @@ def test_no_make_outside_autograd():
         "profiler only see nodes built by the public ops):\n"
         + "\n".join(violations)
     )
+
+
+def test_every_make_caller_is_a_primitive():
+    violations = []
+    for path in sorted((SRC_ROOT / "autograd").rglob("*.py")):
+        violations.extend(
+            _primitive_violations(
+                path, label=str(path.relative_to(SRC_ROOT.parent))
+            )
+        )
+    assert not violations, (
+        "undeclared autograd ops in src/repro/autograd (decorate them "
+        "with @primitive):\n" + "\n".join(violations)
+    )
+
+
+def test_no_patching_dispatch():
+    violations = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        violations.extend(
+            _dispatch_violations(
+                path, label=str(path.relative_to(SRC_ROOT.parent))
+            )
+        )
+    assert not violations, (
+        "monkey-patching op dispatch in src/repro (declare ops with "
+        "@primitive and observe them):\n" + "\n".join(violations)
+    )
+
+
+def test_primitive_lint_catches_undeclared_function(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "def double(x):\n"
+        "    return Tensor._make(x.data * 2, (x,), None)\n"
+    )
+    assert any("double()" in v for v in _primitive_violations(sample))
+
+
+def test_primitive_lint_catches_undeclared_method(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "class Tensor:\n"
+        "    def cube(self):\n"
+        "        return Tensor._make(self.data ** 3, (self,), None)\n"
+    )
+    assert any("cube()" in v for v in _primitive_violations(sample))
+
+
+def test_primitive_lint_allows_declared_ops(tmp_path):
+    sample = tmp_path / "ok.py"
+    sample.write_text(
+        "@primitive('double', flops=elementwise)\n"
+        "def double(x):\n"
+        "    def backward(grad):\n"
+        "        x._accumulate(grad * 2)\n"
+        "    return Tensor._make(x.data * 2, (x,), backward)\n"
+        "\n"
+        "def _make(data, parents, backward):\n"
+        "    return Tensor(data)  # the constructor itself is fine\n"
+    )
+    assert not _primitive_violations(sample)
+
+
+def test_dispatch_lint_catches_tensor_setattr(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text("setattr(Tensor, '__add__', wrapper)\n")
+    assert any("setattr(Tensor" in v for v in _dispatch_violations(sample))
+
+
+def test_dispatch_lint_catches_sys_modules_scans(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "import sys\n"
+        "for module in list(sys.modules.values()):\n"
+        "    pass\n"
+        "names = [name for name in sys.modules]\n"
+        "snapshot = list(sys.modules)\n"
+    )
+    lines = sorted(
+        int(v.split(":")[1]) for v in _dispatch_violations(sample)
+    )
+    assert lines == [2, 4, 5]
+
+
+def test_dispatch_lint_allows_lookups_and_other_setattr(tmp_path):
+    sample = tmp_path / "ok.py"
+    sample.write_text(
+        "import sys\n"
+        "module = sys.modules.get('repro')\n"
+        "setattr(config, 'seed', 0)\n"
+    )
+    assert not _dispatch_violations(sample)
 
 
 def test_make_lint_catches_call(tmp_path):

@@ -1,5 +1,7 @@
-"""Tests for the per-op autograd profiler: patching/restoration, FLOP
-accounting, backward attribution, and the trace/trainer integration."""
+"""Tests for the per-op autograd profiler: observer scoping and nesting,
+FLOP accounting, backward attribution, and the trace/trainer integration."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -25,36 +27,43 @@ def _by_key(profiler):
 
 
 class TestPatching:
-    def test_tensor_methods_restored_after_exit(self):
-        originals = {
-            attr: Tensor.__dict__[attr]
-            for attr in ("matmul", "__matmul__", "__add__", "__radd__",
-                         "__mul__", "__rmul__", "sum", "tanh")
-        }
-        profiler = OpProfiler()
-        with profiler.enabled():
-            for attr, original in originals.items():
-                assert Tensor.__dict__[attr] is not original
-        for attr, original in originals.items():
-            assert Tensor.__dict__[attr] is original
+    """Profiling rewrites nothing: it observes the primitive registry."""
 
-    def test_ops_functions_restored_in_every_module(self):
+    def test_class_dict_unchanged_inside_context(self):
+        before = dict(Tensor.__dict__)
+        with OpProfiler().enabled():
+            inside = dict(Tensor.__dict__)
+        assert inside.keys() == before.keys()
+        for attr, value in before.items():
+            assert inside[attr] is value
+            assert Tensor.__dict__[attr] is value
+
+    def test_module_functions_unchanged_inside_context(self):
         original = ops_module.spmm
         assert repro.autograd.spmm is original  # re-exported reference
         with OpProfiler().enabled():
-            assert ops_module.spmm is not original
-            # the identity scan re-bound the from-import too
-            assert repro.autograd.spmm is ops_module.spmm
+            assert ops_module.spmm is original
+            assert repro.autograd.spmm is original
         assert ops_module.spmm is original
-        assert repro.autograd.spmm is original
 
-    def test_only_one_profiler_at_a_time(self):
-        with OpProfiler().enabled():
-            with pytest.raises(RuntimeError, match="already enabled"):
-                OpProfiler().__enter__()
-        # the guard released: a fresh profiler enables fine
-        with OpProfiler().enabled():
-            pass
+    def test_nested_profilers_both_record(self):
+        outer, inner = OpProfiler(), OpProfiler()
+        a = Tensor(np.ones((3, 3)), requires_grad=True)
+        with outer.enabled():
+            a @ a
+            with inner.enabled():
+                (a @ a).sum().backward()
+        outer_stats, inner_stats = _by_key(outer), _by_key(inner)
+        assert outer_stats[("matmul", "forward")].calls == 2
+        assert inner_stats[("matmul", "forward")].calls == 1
+        for key in (("matmul", "backward"), ("sum", "forward"),
+                    ("sum", "backward")):
+            assert outer_stats[key].calls == inner_stats[key].calls == 1
+            assert outer_stats[key].flops == inner_stats[key].flops
+        # the same profiler cannot be entered twice in one context
+        with outer.enabled():
+            with pytest.raises(RuntimeError, match="already observing"):
+                outer.__enter__()
 
     def test_disabled_profiler_records_nothing(self):
         profiler = OpProfiler()
@@ -187,6 +196,7 @@ class TestTrainerIntegration:
         # after training the patches are gone
         assert ops_module.spmm is repro.autograd.spmm
 
+
     def test_format_op_table_lists_busiest_ops(self):
         profiler = OpProfiler()
         with profiler.enabled():
@@ -199,3 +209,52 @@ class TestTrainerIntegration:
         assert len(lines) == 3 + 3  # title + header + rule + limited rows
         full = format_op_table(profiler)
         assert "matmul" in full and "backward" in full
+
+
+class TestIsolation:
+    """An observer sees only the context that entered it."""
+
+    def test_other_thread_is_not_profiled(self):
+        a = Tensor(np.ones((3, 3)))
+        profiler = OpProfiler()
+        with profiler.enabled():
+            worker = threading.Thread(target=lambda: a @ a)
+            worker.start()
+            worker.join()
+        assert profiler.stats() == []
+
+    def test_profiler_entered_in_a_thread_sees_only_that_thread(self):
+        a = Tensor(np.ones((3, 3)))
+        profiler = OpProfiler()
+        entered, release = threading.Event(), threading.Event()
+
+        def profiled_worker():
+            with profiler.enabled():
+                entered.set()
+                release.wait(timeout=10)
+                a.tanh()
+
+        worker = threading.Thread(target=profiled_worker)
+        worker.start()
+        entered.wait(timeout=10)
+        a @ a  # main thread, while the worker's profiler is entered
+        release.set()
+        worker.join()
+        assert set(_by_key(profiler)) == {("tanh", "forward")}
+
+    def test_nested_profilers_see_compiled_training(self):
+        outer, inner = OpProfiler(trace_ops=False), OpProfiler(trace_ops=False)
+        rng = np.random.default_rng(5)
+        graph = generators.barabasi_albert(30, 2, rng, feature_dim=6,
+                                           feature_kind="degree")
+        pair = noisy_copy_pair(graph, rng, structure_noise_ratio=0.05)
+        config = GAlignConfig(epochs=3, embedding_dim=8, seed=0,
+                              num_augmentations=1, compile=True)
+        with outer.enabled(), inner.enabled():
+            GAlignTrainer(config, np.random.default_rng(0)).train(pair)
+        for profiler in (outer, inner):
+            stats = _by_key(profiler)
+            assert stats[("gcn_layer", "forward")].calls > 0
+            assert stats[("gcn_layer", "backward")].calls > 0
+        assert {key: (s.calls, s.flops) for key, s in _by_key(outer).items()} \
+            == {key: (s.calls, s.flops) for key, s in _by_key(inner).items()}

@@ -8,6 +8,8 @@ trainer/profiler/tracer integrations see compiled execution exactly
 where they saw eager execution.
 """
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -278,11 +280,22 @@ class TestRecorder:
             with recorder:
                 (outside * 3.0).sum()
 
-    def test_nested_capture_rejected(self):
-        with TapeRecorder():
-            with pytest.raises(RuntimeError, match="already capturing"):
-                with TapeRecorder():
-                    pass
+    def test_nested_capture_records_in_both(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        outer, inner = TapeRecorder(), TapeRecorder()
+        with outer:
+            x * 2.0  # recorded by the outer recorder only
+            with inner:
+                total = (x * 3.0).sum()
+                tape_watch(total, "total")
+        assert [op.kind for op in outer.ops] == ["mul", "mul", "sum"]
+        assert [op.kind for op in inner.ops] == ["mul", "sum"]
+        assert [label for label, _ in outer.watches] == ["total"]
+        assert [label for label, _ in inner.watches] == ["total"]
+        for recorder in (outer, inner):
+            (out,), watched = recorder.finalize(
+                [total], dtype="float64").replay()
+            assert float(out.data) == watched["total"] == 12.0
 
     def test_finalize_requires_recorded_output(self):
         recorder = TapeRecorder()
@@ -291,11 +304,25 @@ class TestRecorder:
         with pytest.raises(ValueError, match="not recorded"):
             recorder.finalize([Tensor(1.0)])
 
-    def test_capture_restores_patches(self):
-        original = Tensor.__add__
+    def test_capture_leaves_class_and_module_unchanged(self):
+        from repro.autograd import ops as ops_module
+
+        before = dict(Tensor.__dict__)
+        original_spmm = ops_module.spmm
         with TapeRecorder():
-            assert Tensor.__add__ is not original
-        assert Tensor.__add__ is original
+            for attr, value in before.items():
+                assert Tensor.__dict__[attr] is value
+            assert ops_module.spmm is original_spmm is spmm
+        assert dict(Tensor.__dict__) == before
+
+    def test_other_thread_is_not_captured(self):
+        a = Tensor(np.ones((3, 3)), requires_grad=True)
+        recorder = TapeRecorder()
+        with recorder:
+            worker = threading.Thread(target=lambda: a @ a)
+            worker.start()
+            worker.join()
+        assert recorder.ops == []
 
     def test_watch_is_noop_outside_capture(self):
         t = Tensor(2.0)
@@ -401,6 +428,32 @@ class TestObservabilityIntegration:
         forward = by_key[("gcn_layer", "forward")]
         assert forward.calls > 0 and forward.flops > 0
         assert "gcn_layer" in format_op_table(profiler)
+
+    def test_eager_and_replay_op_tables_agree(self):
+        """One FLOP table serves eager ops and replayed tape kernels."""
+        loss_fn, _params = make_gcn_loss()
+        eager = OpProfiler(trace_ops=False)
+        with eager.enabled():
+            total, _, _ = loss_fn()
+            total.backward()
+
+        recorder, total = capture(loss_fn)
+        tape = recorder.finalize(
+            [total], fuse=False, reuse_buffers=False, dtype="float64"
+        )
+        replayed = OpProfiler(trace_ops=False)
+        with replayed.enabled():
+            (out,), _ = tape.replay()
+            out.backward()
+
+        def table(profiler):
+            return {
+                (stat.op, stat.direction): (stat.calls, stat.flops)
+                for stat in profiler.stats()
+            }
+
+        assert ("matmul", "backward") in table(eager)
+        assert table(replayed) == table(eager)
 
     def test_capture_and_replay_spans_traced(self):
         pair = profile_pair()
