@@ -19,7 +19,7 @@ import numpy as np
 
 from ..base import AlignmentMethod
 from ..graphs import AlignmentPair
-from .alignment import aggregate_alignment, layerwise_alignment_matrices
+from .alignment import alignment_matrix
 from .config import GAlignConfig
 from .refine import AlignmentRefiner
 from .trainer import GAlignTrainer
@@ -141,35 +141,23 @@ class GAlign(AlignmentMethod):
                 self.target_model, _ = trainer.train_single(pair.target)
 
         if config.use_refinement:
-            refiner = AlignmentRefiner(config)
-            scores, self.refinement_log = refiner.refine(
+            scores, self.refinement_log = AlignmentRefiner(config).refine(
                 pair, self.model, self.target_model
             )
-            if not config.multi_order:
-                # GAlign-3 under refinement: last-layer scores only, but from
-                # the refiner's best-iteration (influence-weighted) embeddings
-                # — re-embedding with the default propagation would discard
-                # the refinement loop's work.
-                source_last = self.refinement_log.best_source_embeddings[-1]
-                target_last = self.refinement_log.best_target_embeddings[-1]
-                scores = source_last @ target_last.T
-            return scores
-
-        self.refinement_log = None
-        return (
-            self._multi_order_scores(pair)
-            if config.multi_order
-            else self._last_layer_scores(pair)
-        )
-
-    # ------------------------------------------------------------------
-    def _multi_order_scores(self, pair: AlignmentPair) -> np.ndarray:
-        matrices = layerwise_alignment_matrices(
-            self.model.embed(pair.source), self.target_model.embed(pair.target)
-        )
-        return aggregate_alignment(matrices, self.config.resolved_layer_weights())
-
-    def _last_layer_scores(self, pair: AlignmentPair) -> np.ndarray:
-        source_last = self.model.embed(pair.source)[-1]
-        target_last = self.target_model.embed(pair.target)[-1]
-        return source_last @ target_last.T
+            if config.multi_order:
+                return scores
+            # GAlign-3 under refinement: last-layer scores only, but from
+            # the refiner's best-iteration (influence-weighted) embeddings
+            # — re-embedding with the default propagation would discard
+            # the refinement loop's work.
+            source = self.refinement_log.best_source_embeddings
+            target = self.refinement_log.best_target_embeddings
+        else:
+            self.refinement_log = None
+            source = self.model.embed(pair.source)
+            target = self.target_model.embed(pair.target)
+            if config.multi_order:
+                return alignment_matrix(
+                    source, target, config.resolved_layer_weights()
+                )
+        return alignment_matrix(source[-1:], target[-1:], [1.0])

@@ -6,6 +6,9 @@ confidence factor λ (Eq 13); (2) raise their influence factors α by the gain
 β (Eq 14); (3) re-embed both networks through the influence-weighted
 propagation matrix (Eq 15) and rebuild the alignment matrices; (4) keep the
 aggregate S with the best greedy quality g(S).
+
+g(S) and Eq 13 are row reductions (§VI-C), so an iteration is one pass over
+row blocks of S and holds no n₁×n₂ array; only the returned S is dense.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from ..graphs import AlignmentPair, weighted_propagation_matrix
 from ..observability import MetricsRegistry, get_registry, get_tracer
 from ..resilience import validate_pair
 from .alignment import (
+    BLOCK_ROWS,
     aggregate_alignment,
+    alignment_matrix,
     alignment_quality,
     layerwise_alignment_matrices,
 )
@@ -93,6 +98,34 @@ def apply_influence_gain(
     """
     np.multiply.at(influence, nodes, gain)
     return influence
+
+
+def _scan_alignment(
+    source_embeddings: Sequence[np.ndarray],
+    target_embeddings: Sequence[np.ndarray],
+    layer_weights: Sequence[float],
+    threshold: float,
+) -> Tuple[float, np.ndarray, np.ndarray] | None:
+    """One Alg 2 pass over row blocks of S: ``(g(S), sources, targets)``,
+    or ``None`` at the first non-finite block."""
+    quality = 0.0
+    stable_sources, stable_targets = [], []
+    for start in range(0, source_embeddings[0].shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        matrices = layerwise_alignment_matrices(
+            [h[rows] for h in source_embeddings], target_embeddings
+        )
+        scores = aggregate_alignment(matrices, layer_weights)
+        if not np.all(np.isfinite(scores)):
+            return None
+        quality += alignment_quality(scores)
+        sources, targets = find_stable_nodes(
+            matrices, threshold, reference_scores=scores
+        )
+        stable_sources.append(sources + start)
+        stable_targets.append(targets)
+    sources, targets = map(np.concatenate, (stable_sources, stable_targets))
+    return quality, sources, targets
 
 
 @dataclass
@@ -188,8 +221,6 @@ class AlignmentRefiner:
         influence_target = np.ones(pair.target.num_nodes)
 
         log = RefinementLog(registry=registry)
-        best_scores = None
-        best_quality = float("-inf")
         tracer = get_tracer()
 
         for iteration in range(max(1, config.refinement_iterations)):
@@ -209,11 +240,11 @@ class AlignmentRefiner:
                         pair.target, prop_target
                     )
                 with tracer.span("refine.align"):
-                    matrices = layerwise_alignment_matrices(
-                        source_embeddings, target_embeddings
+                    scan = _scan_alignment(
+                        source_embeddings, target_embeddings, layer_weights,
+                        config.stability_threshold,
                     )
-                    scores = aggregate_alignment(matrices, layer_weights)
-                if not np.all(np.isfinite(scores)):
+                if scan is None:
                     # Influence-weighted propagation went numerically bad;
                     # keep the best finite iteration (iteration 0 == the
                     # pre-refinement embeddings) rather than propagate.
@@ -222,26 +253,19 @@ class AlignmentRefiner:
                         "resilience.refine_fallback",
                         {
                             "iteration": iteration,
-                            "best_quality": best_quality,
+                            "best_quality": log.best_quality,
                         },
                     )
                     break
-                quality = alignment_quality(scores)
-
-                sources, targets = find_stable_nodes(
-                    matrices, config.stability_threshold, reference_scores=scores
-                )
+                quality, sources, targets = scan
             registry.increment("refine.iterations")
             registry.record_histogram(
                 "refine.iteration_time_hist", iteration_timer.elapsed
             )
-            log.record_iteration(quality, len(sources), len(np.unique(targets)))
-
-            if quality > best_quality:
-                best_quality = quality
-                best_scores = scores
+            if quality > log.best_quality:
                 log.best_source_embeddings = source_embeddings
                 log.best_target_embeddings = target_embeddings
+            log.record_iteration(quality, len(sources), len(np.unique(targets)))
 
             if len(sources) == 0:
                 # No stable anchors: influence factors would not change and
@@ -253,7 +277,7 @@ class AlignmentRefiner:
             apply_influence_gain(influence_source, sources, config.influence_gain)
             apply_influence_gain(influence_target, targets, config.influence_gain)
 
-        if best_scores is None:
+        if log.best_source_embeddings is None:
             # Even iteration 0 (influence factors all 1, i.e. the plain
             # pre-refinement embeddings) was non-finite: the model itself
             # is broken and there is nothing sane to fall back to.
@@ -269,4 +293,7 @@ class AlignmentRefiner:
         registry.observe("refine.influence.target_mean", influence_target.mean())
         log.final_influence_source = influence_source
         log.final_influence_target = influence_target
-        return best_scores, log
+        scores = alignment_matrix(
+            log.best_source_embeddings, log.best_target_embeddings, layer_weights
+        )
+        return scores, log

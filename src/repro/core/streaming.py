@@ -7,12 +7,16 @@ rows) of S at a time, computed on the fly from the multi-order embeddings.
 That brings alignment-side memory from O(n²) down to O(n·d), which is what
 makes the method viable on large networks.
 
-This module provides that row-streaming layer:
+This module provides that row-streaming layer.  Blocks are built by the
+Eq 11–12 kernel of :mod:`repro.core.alignment`, so the default 256-row
+blocks are bitwise the rows of the dense S the refiner and GAlign return:
 
 * :func:`iter_score_blocks` — yield (row-range, block of S) pairs built from
   per-layer embeddings and layer weights, never holding all of S.
 * :func:`streaming_top_k` — per-source top-k targets and scores.
 * :func:`streaming_evaluate` — Success@q / MAP / AUC without full S.
+* :func:`streaming_find_stable_nodes` — Eq 13 per row block, through
+  :func:`repro.core.refine.find_stable_nodes`.
 * :class:`StreamingAligner` — end-to-end: trained model + pair → anchors,
   in O(block · n₂) peak memory.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +41,10 @@ from ..parallel import (
     resolve_workers,
 )
 from ..resilience import validate_pair
+from .alignment import aggregate_alignment, layerwise_alignment_matrices
 from .config import GAlignConfig
 from .model import MultiOrderGCN
+from .refine import find_stable_nodes
 
 __all__ = [
     "iter_score_blocks",
@@ -90,28 +96,34 @@ def _build_block(
 ) -> np.ndarray:
     """``Σ_l θ(l) · H_s(l)[start:stop] @ H_t(l)ᵀ``, sanitized and timed.
 
-    The one definition of "a score block", shared by the serial iterator
-    and the parallel block workers — which is what makes parallel
-    streaming bit-identical to serial streaming.
+    The Eq 11–12 kernel of :mod:`repro.core.alignment` on one row block,
+    shared by the serial iterator and the parallel block workers — which
+    is what makes parallel streaming bit-identical to serial streaming.
     """
     started = time.perf_counter()
-    block = None
-    for h_source, h_target, weight in zip(
-        source_embeddings, target_embeddings, layer_weights
-    ):
-        partial = weight * (h_source[start:stop] @ h_target.T)
-        block = partial if block is None else block + partial
+    block = aggregate_alignment(
+        layerwise_alignment_matrices(
+            [h[start:stop] for h in source_embeddings], target_embeddings
+        ),
+        layer_weights,
+    )
     block = _sanitize_block(block, start, stop, registry)
+    _record_block(registry, "streaming.block", started, start, stop)
+    return block
+
+
+def _record_block(
+    registry: MetricsRegistry, event: str, started: float, start: int,
+    stop: int,
+) -> None:
+    """Charge one block's build time to the ``streaming.*`` metrics."""
     elapsed = time.perf_counter() - started
     registry.record_time("streaming.block_time", elapsed)
     registry.increment("streaming.blocks")
     registry.increment("streaming.rows", stop - start)
     # Only block-build time is charged to the trace (as to the timer):
     # a generator span would bill the consumer's work to this frame.
-    get_tracer().add_event(
-        "streaming.block", started, elapsed, rows=[start, stop]
-    )
-    return block
+    get_tracer().add_event(event, started, elapsed, rows=[start, stop])
 
 
 def _block_ranges(n_source: int, block_size: int) -> List[Tuple[int, int]]:
@@ -128,6 +140,8 @@ def _check_layers(
     target_embeddings: Sequence[np.ndarray],
     layer_weights: Sequence[float],
 ) -> None:
+    if not source_embeddings:
+        raise ValueError("need at least one layer of embeddings")
     if len(source_embeddings) != len(target_embeddings):
         raise ValueError("layer count mismatch between source and target")
     if len(source_embeddings) != len(layer_weights):
@@ -152,8 +166,8 @@ def iter_score_blocks(
     ``resilience.streaming_sanitized_blocks``) so downstream top-k and
     ranking consumers degrade gracefully instead of emitting NaN.
     """
-    ranges = _block_ranges(source_embeddings[0].shape[0], block_size)
     _check_layers(source_embeddings, target_embeddings, layer_weights)
+    ranges = _block_ranges(source_embeddings[0].shape[0], block_size)
     if registry is None:
         registry = get_registry()
     for start, stop in ranges:
@@ -163,7 +177,9 @@ def iter_score_blocks(
         )
 
 
-def _block_top_k(block: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _block_top_k(
+    block: np.ndarray, start: int, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row top-k (targets, scores) of one block, descending score."""
     # argpartition then sort the k winners per row.
     top = np.argpartition(block, -k, axis=1)[:, -k:]
@@ -173,15 +189,30 @@ def _block_top_k(block: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return sorted_top, block[row_index, sorted_top]
 
 
-def _top_k_block_task(
+def _block_ranks(
+    block: np.ndarray, start: int, anchors: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Pessimistic ranks of the given (source, target) anchors in a block."""
+    ranks: List[int] = []
+    for source, target in anchors:
+        row = block[source - start]
+        true_score = row[target]
+        above = int(np.count_nonzero(row > true_score))
+        tied = int(np.count_nonzero(row == true_score)) - 1
+        ranks.append(above + tied + 1)
+    return ranks
+
+
+def _attached_block_task(
     manifest: Dict,
     num_layers: int,
     layer_weights: Tuple[float, ...],
     start: int,
     stop: int,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pool task: score one row block from shm embeddings, return its top-k."""
+    reduce: Callable,
+    argument,
+):
+    """Pool task: build one row block from shm embeddings and reduce it."""
     with AttachedArrays(manifest) as arrays:
         block = _build_block(
             load_embeddings(arrays, "src", num_layers),
@@ -190,17 +221,51 @@ def _top_k_block_task(
             start, stop,
             get_registry(),
         )
-        targets, scores = _block_top_k(block, k)
-        return np.ascontiguousarray(targets), np.ascontiguousarray(scores)
+        return reduce(block, start, argument)
 
 
-def _publish_layers(
-    store: SharedArrayStore,
+def _map_blocks(
+    reduce: Callable,
+    arguments: Sequence,
     source_embeddings: Sequence[np.ndarray],
     target_embeddings: Sequence[np.ndarray],
-) -> None:
-    publish_embeddings(store, "src", source_embeddings)
-    publish_embeddings(store, "tgt", target_embeddings)
+    layer_weights: Sequence[float],
+    ranges: List[Tuple[int, int]],
+    registry: Optional[MetricsRegistry],
+    workers: Optional[int],
+    label: str,
+) -> List:
+    """``reduce(block, start, argument)`` per row block, in order; blocks
+    come from :func:`_build_block` serially or in a ``workers`` pool, so
+    the results are bit-identical either way."""
+    if registry is None:
+        registry = get_registry()
+    layer_weights = tuple(float(w) for w in layer_weights)
+    workers = resolve_workers(workers)
+    if not workers:
+        return [
+            reduce(
+                _build_block(
+                    source_embeddings, target_embeddings, layer_weights,
+                    start, stop, registry,
+                ),
+                start, argument,
+            )
+            for (start, stop), argument in zip(ranges, arguments)
+        ]
+    with SharedArrayStore(registry=registry) as store:
+        publish_embeddings(store, "src", source_embeddings)
+        publish_embeddings(store, "tgt", target_embeddings)
+        manifest = store.manifest()
+        return WorkerPool(workers, registry=registry).map(
+            _attached_block_task,
+            [
+                (manifest, len(layer_weights), layer_weights, start, stop,
+                 reduce, argument)
+                for (start, stop), argument in zip(ranges, arguments)
+            ],
+            labels=[f"{label}[{start}:{stop}]" for start, stop in ranges],
+        )
 
 
 def streaming_top_k(
@@ -241,73 +306,18 @@ def streaming_top_k(
     n_target = target_embeddings[0].shape[0]
     k = min(k, n_target)
     ranges = _block_ranges(n_source, block_size)
-    if registry is None:
-        registry = get_registry()
-    workers = resolve_workers(workers)
-    weights = tuple(float(w) for w in layer_weights)
     all_targets = np.empty((n_source, k), dtype=np.int64)
     all_scores = np.empty((n_source, k))
     with get_tracer().span("streaming.top_k", k=k, n_source=n_source):
-        if workers:
-            with SharedArrayStore(registry=registry) as store:
-                _publish_layers(store, source_embeddings, target_embeddings)
-                manifest = store.manifest()
-                pool = WorkerPool(workers, registry=registry)
-                blocks = pool.map(
-                    _top_k_block_task,
-                    [
-                        (manifest, len(weights), weights, start, stop, k)
-                        for start, stop in ranges
-                    ],
-                    labels=[f"top_k[{start}:{stop}]" for start, stop in ranges],
-                )
-            for (start, stop), (targets, scores) in zip(ranges, blocks):
-                all_targets[start:stop] = targets
-                all_scores[start:stop] = scores
-        else:
-            for start, stop in ranges:
-                block = _build_block(
-                    source_embeddings, target_embeddings, weights,
-                    start, stop, registry,
-                )
-                targets, scores = _block_top_k(block, k)
-                all_targets[start:stop] = targets
-                all_scores[start:stop] = scores
-    return all_targets, all_scores
-
-
-def _block_ranks(
-    block: np.ndarray, start: int, anchors: Sequence[Tuple[int, int]]
-) -> List[int]:
-    """Pessimistic ranks of the given (source, target) anchors in a block."""
-    ranks: List[int] = []
-    for source, target in anchors:
-        row = block[source - start]
-        true_score = row[target]
-        above = int(np.count_nonzero(row > true_score))
-        tied = int(np.count_nonzero(row == true_score)) - 1
-        ranks.append(above + tied + 1)
-    return ranks
-
-
-def _evaluate_block_task(
-    manifest: Dict,
-    num_layers: int,
-    layer_weights: Tuple[float, ...],
-    start: int,
-    stop: int,
-    anchors: Tuple[Tuple[int, int], ...],
-) -> List[int]:
-    """Pool task: ranks of one block's groundtruth anchors, from shm."""
-    with AttachedArrays(manifest) as arrays:
-        block = _build_block(
-            load_embeddings(arrays, "src", num_layers),
-            load_embeddings(arrays, "tgt", num_layers),
-            layer_weights,
-            start, stop,
-            get_registry(),
+        blocks = _map_blocks(
+            _block_top_k, [k] * len(ranges), source_embeddings,
+            target_embeddings, layer_weights, ranges, registry, workers,
+            "top_k",
         )
-        return _block_ranks(block, start, anchors)
+    for (start, stop), (targets, scores) in zip(ranges, blocks):
+        all_targets[start:stop] = targets
+        all_scores[start:stop] = scores
+    return all_targets, all_scores
 
 
 def streaming_evaluate(
@@ -356,37 +366,10 @@ def streaming_evaluate(
         )
         for start, stop in ranges
     ]
-    if registry is None:
-        registry = get_registry()
-    workers = resolve_workers(workers)
-    weights = tuple(float(w) for w in layer_weights)
-    if workers:
-        with SharedArrayStore(registry=registry) as store:
-            _publish_layers(store, source_embeddings, target_embeddings)
-            manifest = store.manifest()
-            pool = WorkerPool(workers, registry=registry)
-            rank_lists = pool.map(
-                _evaluate_block_task,
-                [
-                    (manifest, len(weights), weights, start, stop, anchors)
-                    for (start, stop), anchors in zip(
-                        ranges, anchors_per_block
-                    )
-                ],
-                labels=[f"eval[{start}:{stop}]" for start, stop in ranges],
-            )
-    else:
-        rank_lists = [
-            _block_ranks(
-                _build_block(
-                    source_embeddings, target_embeddings, weights,
-                    start, stop, registry,
-                ),
-                start,
-                anchors,
-            )
-            for (start, stop), anchors in zip(ranges, anchors_per_block)
-        ]
+    rank_lists = _map_blocks(
+        _block_ranks, anchors_per_block, source_embeddings, target_embeddings,
+        layer_weights, ranges, registry, workers, "eval",
+    )
     ranks = [rank for block_ranks in rank_lists for rank in block_ranks]
     rank_array = np.asarray(ranks)
     negatives = max(1, n_target - 1)
@@ -411,13 +394,9 @@ def streaming_find_stable_nodes(
     """Eq 13 stable nodes without materializing any n₁×n₂ matrix.
 
     The paper's space analysis (§VI-C) observes that stable-node detection
-    "can be done by separately iterating the rows of S"; this implements
-    exactly that: per row block, the per-layer scores and the aggregate are
-    rebuilt from embeddings, the tie-tolerant Eq 13 test is applied, and
-    only the stable (source, target) ids are kept.
-
-    Semantics match :func:`repro.core.refine.find_stable_nodes` with a
-    ``reference_scores`` aggregate (verified in tests).
+    "can be done by separately iterating the rows of S"; per row block this
+    rebuilds the per-layer scores and their aggregate and runs
+    :func:`repro.core.refine.find_stable_nodes` (the one Eq 13) on them.
 
     Per-layer score blocks go through the same non-finite sanitization as
     :func:`iter_score_blocks`: NaN/Inf entries become ``-inf`` (counted in
@@ -426,48 +405,32 @@ def streaming_find_stable_nodes(
     "not stable" *visibly* instead of silently dropping them through NaN
     comparisons.
     """
-    if not source_embeddings:
-        raise ValueError("need at least one layer of embeddings")
+    _check_layers(source_embeddings, target_embeddings, layer_weights)
     if registry is None:
         registry = get_registry()
-    stable_sources: List[int] = []
-    stable_targets: List[int] = []
+    stable_sources = [np.empty(0, dtype=np.int64)]
+    stable_targets = [np.empty(0, dtype=np.int64)]
     n_source = source_embeddings[0].shape[0]
     for start, stop in _block_ranges(n_source, block_size):
         started = time.perf_counter()
         layer_blocks = [
-            _sanitize_block(
-                h_source[start:stop] @ h_target.T,
-                start, stop, registry, layer=layer,
-            )
-            for layer, (h_source, h_target) in enumerate(
-                zip(source_embeddings, target_embeddings)
+            _sanitize_block(block, start, stop, registry, layer=layer)
+            for layer, block in enumerate(
+                layerwise_alignment_matrices(
+                    [h[start:stop] for h in source_embeddings],
+                    target_embeddings,
+                )
             )
         ]
-        aggregate = None
-        for block, weight in zip(layer_blocks, layer_weights):
-            aggregate = weight * block if aggregate is None else aggregate + weight * block
-        candidates = aggregate.argmax(axis=1)
-        rows = np.arange(stop - start)
-        maxima = np.stack([block.max(axis=1) for block in layer_blocks])
-        candidate_scores = np.stack(
-            [block[rows, candidates] for block in layer_blocks]
+        sources, targets = find_stable_nodes(
+            layer_blocks, threshold,
+            reference_scores=aggregate_alignment(layer_blocks, layer_weights),
+            tie_tolerance=tie_tolerance,
         )
-        confident = np.all(maxima > threshold, axis=0)
-        consistent = np.all(candidate_scores >= maxima - tie_tolerance, axis=0)
-        for local in np.flatnonzero(confident & consistent):
-            stable_sources.append(start + int(local))
-            stable_targets.append(int(candidates[local]))
-        elapsed = time.perf_counter() - started
-        registry.record_time("streaming.block_time", elapsed)
-        registry.increment("streaming.blocks")
-        registry.increment("streaming.rows", stop - start)
-        get_tracer().add_event(
-            "streaming.stable_block", started, elapsed, rows=[start, stop]
-        )
-    return np.asarray(stable_sources, dtype=np.int64), np.asarray(
-        stable_targets, dtype=np.int64
-    )
+        stable_sources.append(sources + start)
+        stable_targets.append(targets)
+        _record_block(registry, "streaming.stable_block", started, start, stop)
+    return np.concatenate(stable_sources), np.concatenate(stable_targets)
 
 
 @dataclass

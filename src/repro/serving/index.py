@@ -2,7 +2,8 @@
 
 Answering "who does source node v align to?" needs one row of the
 aggregated alignment matrix ``S[v] = Σ_l θ(l) · h_v(l) · H_t(l)ᵀ``
-(Eq 11-12).  The full row is an O(n₂·d) matmul; most of it is wasted when
+(Eq 11-12), built by the :mod:`repro.core.alignment` kernel.  The full
+row is an O(n₂·d) matmul; most of it is wasted when
 only the k best targets are wanted.  :class:`AlignmentIndex` prunes that
 work with a Cauchy-Schwarz score bound:
 
@@ -28,22 +29,22 @@ Exactness guarantees:
   (descending score, ascending target id), so tied scores at the kth
   boundary resolve identically in every mode and for every ``k``
   (a top-k answer is always a prefix of the top-(k+1) answer).
-* **Batch-size invariance.**  For a fixed index (fixed target block
-  partition), the answer for a source node is bit-identical whether it
-  is queried alone, in any batch, cached, or microbatched: row-blocked
-  GEMMs reduce in the same order as the full product on this BLAS
-  (verified by ``tests/test_serving_index.py``), and single-row queries
-  are padded to two rows so the degenerate GEMV kernel — which *does*
-  reduce differently — is never used.
+* **Same batch, same bits.**  For one query batch, every path — pruned
+  or dense, any ``k``, sharded, full-probe ANN rescoring — runs the same
+  (batch × block) GEMMs through the same kernel.  Single queries are
+  padded to two rows so the differently-reducing GEMV kernel is unused.
+* **Batch composition is not guaranteed.**  A source's bits survive a
+  change of batch only if the BLAS reduces a row alike at every GEMM row
+  count: true at the small dims ``tests/test_serving_index.py`` pins, but
+  at d=64, 3 layers, 3000 targets (OpenBLAS 0.3.31) scores moved by up
+  to ~1e-14 (ids unchanged).
 
-Versus :func:`repro.core.streaming.streaming_top_k` (which scores
+Versus :func:`repro.core.streaming.streaming_top_k` (same kernel on
 full-width rows) the index agrees exactly when
-``target_block_size >= n_target``; with narrower blocks BLAS may pick a
-different kernel for the column-blocked product and individual scores
-can drift by a few ULPs (observed ~1e-15 absolute at small dims).
-:meth:`AlignmentIndex.verify_against_streaming` therefore compares
-descending-sorted scores with an ULP-scale tolerance, and the serving
-tests pin exact streaming equality with a full-width index.
+``target_block_size >= n_target``; narrower column blocks may take a
+different BLAS kernel and drift by a few ULPs, so
+:meth:`AlignmentIndex.verify_against_streaming` compares with an
+ULP-scale tolerance.
 
 Non-finite scores are sanitized to ``-inf`` exactly like
 :func:`~repro.core.streaming.iter_score_blocks`, so a fully-poisoned row
@@ -59,6 +60,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.alignment import aggregate_alignment, layerwise_alignment_matrices
 from ..observability import MetricsRegistry, get_registry
 
 __all__ = ["AlignmentIndex"]
@@ -171,23 +173,46 @@ class AlignmentIndex:
         return self.registry if self.registry is not None else get_registry()
 
     # ------------------------------------------------------------------
+    def _query_batch(
+        self, sources
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Validate a source batch: ``(sources, batch_ids, queries)``.
+
+        A single query is padded to two rows: a (1, d) @ (d, n) product
+        would take a GEMV kernel that reduces differently from the GEMMs
+        every other path uses.  Callers keep the first ``sources.size`` rows.
+        """
+        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+        if sources.ndim != 1 or sources.size == 0:
+            raise ValueError(
+                f"sources must be a non-empty 1-D batch, got shape "
+                f"{sources.shape}"
+            )
+        out_of_range = (sources < 0) | (sources >= self.n_source)
+        if out_of_range.any():
+            bad = int(sources[out_of_range][0])
+            raise IndexError(
+                f"source node {bad} out of range [0, {self.n_source})"
+            )
+        batch_ids = np.repeat(sources, 2) if sources.size == 1 else sources
+        return sources, batch_ids, [layer[batch_ids] for layer in self._source]
+
     def _score_block(
         self, queries: List[np.ndarray], start: int, stop: int,
         registry: MetricsRegistry,
     ) -> np.ndarray:
         """θ-weighted scores of the query rows against targets [start, stop).
 
-        Same accumulation order as
-        :func:`~repro.core.streaming.iter_score_blocks` (per-layer
-        ``weight * (Q @ Tᵀ)`` partials summed layer by layer), so any
-        drift versus the streaming path comes only from BLAS kernel
-        choice for narrow column blocks (see module docstring), never
-        from a different summation order.
+        The Eq 11–12 kernel every consumer of S uses, so any drift versus
+        the streaming path comes only from BLAS kernel choice for
+        differently shaped GEMMs (see module docstring).
         """
-        block = None
-        for query, target, weight in zip(queries, self._target, self._weights):
-            partial = weight * (query @ target[start:stop].T)
-            block = partial if block is None else block + partial
+        block = aggregate_alignment(
+            layerwise_alignment_matrices(
+                queries, [target[start:stop] for target in self._target]
+            ),
+            self._weights,
+        )
         finite = np.isfinite(block)
         if not finite.all():
             block = np.where(finite, block, -np.inf)
@@ -209,33 +234,14 @@ class AlignmentIndex:
         """
         registry = self._registry()
         started = time.perf_counter()
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if sources.ndim != 1 or sources.size == 0:
-            raise ValueError(
-                f"sources must be a non-empty 1-D batch, got shape "
-                f"{sources.shape}"
-            )
-        out_of_range = (sources < 0) | (sources >= self.n_source)
-        if out_of_range.any():
-            bad = int(sources[out_of_range][0])
-            raise IndexError(
-                f"source node {bad} out of range [0, {self.n_source})"
-            )
+        sources, batch_ids, queries = self._query_batch(sources)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_target)
         prune = self.prune if prune is None else bool(prune)
-
-        # Pad single queries to two rows: a (1, d) @ (d, n) product goes
-        # through a GEMV kernel whose reduction order differs bitwise
-        # from the batched GEMM every other path uses.
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        queries = [layer[batch_ids] for layer in self._source]
         query_norms = self._query_norms[batch_ids]
-        batch = batch_ids.size
 
-        kth = np.full(batch, -np.inf)
+        kth = np.full(batch_ids.size, -np.inf)
         top_buffer: Optional[np.ndarray] = None
         seen = 0
         computed: List[Tuple[int, int, np.ndarray]] = []
@@ -269,15 +275,13 @@ class AlignmentIndex:
         all_ids = np.concatenate(
             [np.arange(a, e, dtype=np.int64) for a, e, _ in computed]
         )
-        out_targets = np.empty((batch, k), dtype=np.int64)
-        out_scores = np.empty((batch, k))
-        for row in range(batch):
+        # Padding rows (see _query_batch) are never selected from.
+        out_targets = np.empty((sources.size, k), dtype=np.int64)
+        out_scores = np.empty((sources.size, k))
+        for row in range(sources.size):
             order = np.lexsort((all_ids, -all_scores[row]))[:k]
             out_targets[row] = all_ids[order]
             out_scores[row] = all_scores[row, order]
-        if padded:
-            out_targets = out_targets[:1]
-            out_scores = out_scores[:1]
 
         registry.increment("serving.index.queries", int(sources.size))
         registry.increment("serving.index.blocks_scored", blocks_scored)
@@ -307,18 +311,7 @@ class AlignmentIndex:
         padded to two rows exactly like :meth:`top_k`.
         """
         registry = self._registry()
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if sources.ndim != 1 or sources.size == 0:
-            raise ValueError(
-                f"sources must be a non-empty 1-D batch, got shape "
-                f"{sources.shape}"
-            )
-        out_of_range = (sources < 0) | (sources >= self.n_source)
-        if out_of_range.any():
-            bad = int(sources[out_of_range][0])
-            raise IndexError(
-                f"source node {bad} out of range [0, {self.n_source})"
-            )
+        sources, _, queries = self._query_batch(sources)
         block_ids = sorted({int(block) for block in blocks})
         if not block_ids:
             raise ValueError("blocks must name at least one block id")
@@ -327,9 +320,6 @@ class AlignmentIndex:
             raise ValueError(
                 f"block id {bad} out of range [0, {self.num_blocks})"
             )
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        queries = [layer[batch_ids] for layer in self._source]
         pieces = []
         columns = []
         for block in block_ids:
@@ -338,24 +328,11 @@ class AlignmentIndex:
             columns.append(np.arange(start, stop, dtype=np.int64))
         scores = np.concatenate(pieces, axis=1)
         registry.increment("serving.index.blocks_scored", len(block_ids))
-        return (
-            np.concatenate(columns),
-            scores[:1] if padded else scores,
-        )
+        return np.concatenate(columns), scores[:sources.size]
 
     def score_rows(self, sources) -> np.ndarray:
         """Full score rows ``S[sources]`` (no pruning), for verification."""
-        registry = self._registry()
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        queries = [layer[batch_ids] for layer in self._source]
-        blocks = [
-            self._score_block(queries, a, e, registry)
-            for a, e in self._block_bounds
-        ]
-        rows = np.concatenate(blocks, axis=1)
-        return rows[:1] if padded else rows
+        return self.score_target_blocks(sources, range(self.num_blocks))[1]
 
     def verify_against_streaming(
         self, k: int = 1, block_size: int = 256, rtol: float = 1e-9,

@@ -57,6 +57,14 @@ Ops are observed through the primitive registry's per-context
 observers, never by rewriting shared state: ``setattr(Tensor, ...)``
 and iteration over ``sys.modules`` (the identity scans that rebind
 imported functions) are banned under ``src/repro``.
+
+Score-kernel hygiene
+--------------------
+``layerwise_alignment_matrices`` + ``aggregate_alignment`` (Eq 11–12,
+``repro.core.alignment``) are the only code that multiplies embeddings
+into alignment scores.  The modules that consume S — refinement,
+streaming, the GAlign facade and the serving index — may not use the
+``@`` operator, so a second way of computing S cannot creep back in.
 """
 
 import ast
@@ -323,6 +331,29 @@ def _dispatch_violations(path, label=None):
                              "— declare ops with @primitive and observe "
                              "them instead of patching the class")
     return found
+
+
+#: Consumers of the alignment matrix S; they score through the Eq 11–12
+#: kernel in repro.core.alignment and never multiply embeddings themselves.
+_SCORE_CONSUMERS = (
+    "core/refine.py",
+    "core/streaming.py",
+    "core/galign.py",
+    "serving/index.py",
+)
+
+
+def _matmul_violations(path, label=None):
+    label = label if label is not None else str(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{label}:{node.lineno}: '@' in a consumer of S — build score "
+        "blocks with repro.core.alignment.layerwise_alignment_matrices + "
+        "aggregate_alignment"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.MatMult)
+    ]
 
 
 def test_source_tree_exists():
@@ -646,3 +677,42 @@ def test_wall_clock_lint_allows_monotonic_clocks(tmp_path):
         "a = time.perf_counter()\nb = time.monotonic()\n"
     )
     assert not _wall_clock_violations(sample)
+
+
+def test_score_consumers_use_the_kernel():
+    violations = []
+    for name in _SCORE_CONSUMERS:
+        path = SRC_ROOT / name
+        assert path.is_file(), f"score consumer {name} moved; update the lint"
+        violations.extend(
+            _matmul_violations(
+                path, label=str(path.relative_to(SRC_ROOT.parent))
+            )
+        )
+    assert not violations, (
+        "matrix products outside the Eq 11-12 kernel:\n"
+        + "\n".join(violations)
+    )
+
+
+def test_matmul_lint_catches_operator(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "scores = source @ target.T\n"
+        "block @= other\n"
+    )
+    lines = sorted(
+        int(v.split(":")[1]) for v in _matmul_violations(sample)
+    )
+    assert lines == [1, 2]
+
+
+def test_matmul_lint_allows_kernel_calls_and_docstrings(tmp_path):
+    sample = tmp_path / "ok.py"
+    sample.write_text(
+        '"""S = H_s @ H_t.T, built by the kernel."""\n'
+        "block = aggregate_alignment(\n"
+        "    layerwise_alignment_matrices(source, target), weights)\n"
+        "norms = np.einsum('ij,ij->i', layer, layer)\n"
+    )
+    assert not _matmul_violations(sample)
