@@ -18,6 +18,9 @@ Quick example::
 from .tensor import Tensor, no_grad, is_grad_enabled
 from .ops import (
     spmm,
+    GramTarget,
+    gram_target,
+    gram_residual_norm,
     concat,
     stack,
     row_norms,
@@ -39,6 +42,9 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "spmm",
+    "GramTarget",
+    "gram_target",
+    "gram_residual_norm",
     "concat",
     "stack",
     "row_norms",

@@ -2,13 +2,15 @@
 
 These complement the methods on ``Tensor`` with operations that either take
 multiple tensors (``concat``, ``stack``), mix sparse and dense operands
-(``spmm``), or implement the paper-specific activations (``threshold_mask``
+(``spmm``, ``gram_residual_norm``), or implement the paper-specific pieces
+(``gram_residual_norm`` for the Eq 7 consistency term, ``threshold_mask``
 for the σ_< gate of the adaptivity loss, Eq 9).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import weakref
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ from .tensor import Tensor
 
 __all__ = [
     "spmm",
+    "gram_residual_norm",
     "concat",
     "stack",
     "row_norms",
@@ -28,6 +31,40 @@ __all__ = [
     "log_softmax",
     "dropout_mask",
 ]
+
+
+#: (id(matrix), kind) → (weak reference to the matrix, derived value).
+_DERIVED: Dict[Tuple[int, str], Tuple[weakref.ref, Any]] = {}
+
+
+def _derived(matrix: sp.spmatrix, kind: str,
+             build: Callable[[sp.spmatrix], Any]) -> Any:
+    """``build(matrix)``, computed once per live sparse matrix object.
+
+    Sparse operands (propagation matrices) are constants that live as
+    long as their training run, so what is derived from them — the
+    transposed CSR, the Eq 7 target — is built once and dropped when the
+    matrix is collected.  Callers must not mutate a matrix after use.
+    """
+    key = (id(matrix), kind)
+    entry = _DERIVED.get(key)
+    if entry is not None and entry[0]() is matrix:
+        return entry[1]
+    value = build(matrix)
+    _DERIVED[key] = (
+        weakref.ref(matrix, lambda _ref: _DERIVED.pop(key, None)), value
+    )
+    return value
+
+
+def transposed_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """``csr.T`` as a CSR matrix, built once per matrix.
+
+    Every spmm adjoint (eager ``spmm`` and the tape's ``spmm`` and fused
+    ``gcn_layer`` kernels) multiplies by this one object, so the float64
+    tape stays bitwise equal to eager.
+    """
+    return _derived(csr, "transpose", lambda matrix: matrix.T.tocsr())
 
 
 def _spmm_flops(args: tuple, kwargs: dict, out: Tensor) -> tuple:
@@ -61,9 +98,124 @@ def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if dense.requires_grad:
-            dense._accumulate(csr.T @ grad)
+            dense._accumulate(transposed_csr(csr) @ grad)
 
     return Tensor._make(np.asarray(out_data), (dense,), backward)
+
+
+class GramTarget:
+    """The constant operand of :func:`gram_residual_norm`, in float64.
+
+    Holds C as CSR, C + Cᵀ as CSR and ‖C‖²_F.  Build it with
+    :func:`gram_target`, once per matrix: eager calls and tape replays of
+    every epoch share it.
+    """
+
+    __slots__ = ("csr", "sym", "norm_sq")
+
+    def __init__(self, matrix: sp.spmatrix) -> None:
+        if not sp.issparse(matrix):
+            raise TypeError("GramTarget expects a scipy sparse matrix")
+        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        csr.sum_duplicates()
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"C must be square, got shape {csr.shape}")
+        self.csr = csr
+        self.sym = (csr + csr.T).tocsr()
+        self.norm_sq = float(np.dot(csr.data, csr.data))
+
+
+def gram_target(matrix: "sp.spmatrix | GramTarget") -> GramTarget:
+    """The :class:`GramTarget` of ``matrix``, built once per matrix."""
+    if isinstance(matrix, GramTarget):
+        return matrix
+    return _derived(matrix, "gram_target", GramTarget)
+
+
+#: Rows of C − HHᵀ the cancellation guard materializes at once.
+GUARD_BLOCK_ROWS = 256
+#: The guard takes over when ‖C − HHᵀ‖²_F falls below this fraction of
+#: ‖C‖²_F + ‖HᵀH‖²_F: the factored sum then cancels too many digits.
+GUARD_RATIO = 1e-4
+
+
+def _residual_blocks(target: GramTarget, hidden: np.ndarray):
+    """Yield ``(rows, HHᵀ − C)`` in blocks of :data:`GUARD_BLOCK_ROWS`."""
+    n = hidden.shape[0]
+    for start in range(0, n, GUARD_BLOCK_ROWS):
+        rows = slice(start, min(start + GUARD_BLOCK_ROWS, n))
+        block = hidden[rows] @ hidden.T
+        part = target.csr[rows].tocoo()
+        block[part.row, part.col] -= part.data
+        yield rows, block
+
+
+def gram_residual_forward(target: GramTarget, hidden: np.ndarray) -> tuple:
+    """``(‖C − HHᵀ‖_F, state)`` in float64; ``state`` feeds the adjoint.
+
+    The factored form √(‖C‖²_F − ⟨H, (C+Cᵀ)H⟩ + ‖HᵀH‖²_F) costs one
+    sparse product and one n·d² GEMM.  When the residual is small next
+    to the two large terms (an almost exact fit), the sum is recomputed
+    from row blocks of C − HHᵀ instead.
+    """
+    h = np.asarray(hidden, dtype=np.float64)
+    sym_h = np.asarray(target.sym @ h)
+    gram = h.T @ h
+    gram_sq = float(np.vdot(gram, gram))
+    residual_sq = target.norm_sq - float(np.vdot(h, sym_h)) + gram_sq
+    if residual_sq < GUARD_RATIO * (target.norm_sq + gram_sq):
+        residual_sq = sum(
+            float(np.vdot(block, block))
+            for _rows, block in _residual_blocks(target, h)
+        )
+        sym_h = gram = None
+    value = np.asarray(np.sqrt(max(residual_sq, 0.0)))
+    return value, (h, sym_h, gram)
+
+
+def gram_residual_adjoint(target: GramTarget, value: np.ndarray,
+                          state: tuple, grad: np.ndarray) -> np.ndarray:
+    """``grad · (2H(HᵀH) − (C+Cᵀ)H) / ‖C − HHᵀ‖_F`` in float64."""
+    h, sym_h, gram = state
+    if value == 0.0:
+        return np.zeros_like(h)
+    if sym_h is None:
+        # The guarded path: (Q + Qᵀ)H with Q = HHᵀ − C, block by block.
+        direction = np.zeros_like(h)
+        for rows, block in _residual_blocks(target, h):
+            direction[rows] += block @ h
+            direction += block.T @ h[rows]
+    else:
+        direction = 2.0 * (h @ gram) - sym_h
+    return direction * (grad / value)
+
+
+def _gram_residual_flops(args: tuple, kwargs: dict, out: Tensor) -> tuple:
+    """One sparse product and an n·d² GEMM forward; one GEMM backward."""
+    target, hidden = args
+    n, d = hidden.data.shape
+    sparse = 2 * int(target.sym.nnz) * d
+    return sparse + 2 * n * d * d + 2 * n * d, 2 * n * d * d + 2 * n * d
+
+
+@primitive("gram_residual_norm", flops=_gram_residual_flops)
+def gram_residual_norm(target: GramTarget, hidden: Tensor) -> Tensor:
+    """‖C − H Hᵀ‖_F (Eq 7) without forming any n×n array.
+
+    ``target`` is C's :class:`GramTarget` (see :func:`gram_target`).  The
+    value and the gradient (2H(HᵀH) − (C+Cᵀ)H) / ‖C − HHᵀ‖_F are exact
+    and always evaluated in float64; see :func:`gram_residual_forward`
+    for the cancellation guard.  At a zero residual the gradient is zero.
+    """
+    value, state = gram_residual_forward(target, hidden.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if hidden.requires_grad:
+            hidden._accumulate(
+                gram_residual_adjoint(target, value, state, grad)
+            )
+
+    return Tensor._make(value, (hidden,), backward)
 
 
 @primitive("concat", flops=free)

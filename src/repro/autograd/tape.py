@@ -57,26 +57,31 @@ Optimization passes
   replay, runs the whole graph in single precision (≈2× on BLAS-bound
   layers), and accumulates parameter gradients back into the ``float64``
   masters.  ``float32`` results are tolerance-checked against the
-  ``float64`` oracle, never bitwise.
+  ``float64`` oracle, never bitwise.  The Eq 7 op ``gram_residual_norm``
+  is the exception: it upcasts its n×d input and always evaluates in
+  ``float64``, because its factored value cancels digits near a fit.
 
 When eager falls back
 ---------------------
-Capture covers one recorder context; anything data-dependent (the sampled
-trainer's per-epoch anchor batches) must stay outside the context and run
-eagerly on top of the replayed outputs (see
-:class:`~repro.core.sampling.SampledGAlignTrainer`).  A tensor produced by
-an op *outside* the capture window cannot join the tape (its history is
-unknown) and raises at capture time.
+A tape replays one static graph with one output (the epoch's loss);
+nothing in it may depend on data drawn per epoch.  A loss that does must
+train eagerly.  A tensor produced by an op *outside* the capture window
+cannot join the tape (its history is unknown) and raises at capture time.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from .ops import (
+    gram_residual_adjoint,
+    gram_residual_forward,
+    transposed_csr,
+)
 from .primitives import OpEvent, attach, detach, notify, observers
 from .tensor import Tensor, _index_add, _unbroadcast
 
@@ -140,6 +145,9 @@ def _split_op(kind: str, args: tuple, kwargs: dict) -> Tuple[tuple, dict]:
         return (args[0],), {"minimum": args[1]}
     if kind == "spmm":
         return (args[1],), {"csr": args[0].tocsr()}
+    if kind == "gram_residual_norm":
+        # Its float64 target is never cast (see Tape.__init__).
+        return (args[1],), {"target": args[0]}
     if kind in ("concat", "stack"):
         return tuple(args[0]), {
             "axis": int(_positional(args, kwargs, 1, "axis", 0))
@@ -197,9 +205,9 @@ class TapeRecorder:
         recorder = TapeRecorder()
         with recorder:
             total, *diagnostics = compute_losses(0)   # eager, recorded
-        tape = recorder.finalize(outputs=[total])
+        tape = recorder.finalize(total)
         ...
-        (total,), watched = tape.replay()             # later epochs
+        total, watched = tape.replay()                # later epochs
     """
 
     def __init__(self) -> None:
@@ -291,8 +299,7 @@ class TapeRecorder:
     # -- finalize -------------------------------------------------------
     def finalize(
         self,
-        outputs: Sequence[Tensor],
-        order_root: Optional[Tensor] = None,
+        output: Tensor,
         *,
         fuse: bool = True,
         reuse_buffers: bool = True,
@@ -302,16 +309,10 @@ class TapeRecorder:
 
         Parameters
         ----------
-        outputs:
-            Tensors (recorded during capture) whose values — and, via
-            their replay stand-ins, gradients — the caller needs every
-            epoch.
-        order_root:
-            Tensor whose eager graph fixes the backward execution order
-            (it must reach every gradient-receiving output).  Defaults to
-            ``outputs[0]``.  For hybrid static/dynamic training this is
-            the capture epoch's *final* eager loss, so the tape replays
-            its reverse pass in exactly the order eager used.
+        output:
+            The tensor (recorded during capture) whose value — and, via
+            its replay stand-in, gradient — the caller needs every epoch.
+            Its eager graph fixes the backward execution order.
         fuse / reuse_buffers:
             Toggle the fusion and buffer-reuse passes (both default on;
             the test matrix exercises all four combinations).
@@ -326,40 +327,22 @@ class TapeRecorder:
                                "recorder context exits")
         if dtype not in ("float64", "float32"):
             raise ValueError(f"unsupported tape dtype {dtype!r}")
-        output_slots = []
-        for tensor in outputs:
-            slot = self._slot_by_id.get(id(tensor))
-            if slot is None:
-                raise ValueError(
-                    "output tensor was not recorded by this capture"
-                )
-            output_slots.append(slot)
-        if order_root is None:
-            if len(outputs) != 1:
-                raise ValueError(
-                    "order_root is required for multi-output tapes"
-                )
-            order_root = outputs[0]
+        output_slot = self._slot_by_id.get(id(output))
+        if output_slot is None:
+            raise ValueError("output tensor was not recorded by this capture")
         # Backward order: the op indices in the order the capture
-        # epoch's eager backward would fire them (outputs first).
+        # epoch's eager backward would fire them (output first).
         backward_order = [
             self._op_index_by_out_id[id(node)]
-            for node in order_root._topological_order()
+            for node in output._topological_order()
             if id(node) in self._op_index_by_out_id
             and self.slot_requires[
                 self.ops[self._op_index_by_out_id[id(node)]].out
             ]
         ]
-        reached = {self.ops[i].out for i in backward_order}
-        for slot in output_slots:
-            if self.slot_requires[slot] and slot not in reached:
-                raise ValueError(
-                    "order_root does not reach a gradient-receiving "
-                    "output; pass the capture epoch's final loss"
-                )
         return Tape(
             recorder=self,
-            output_slots=output_slots,
+            output_slot=output_slot,
             backward_order=backward_order,
             fuse=fuse,
             reuse_buffers=reuse_buffers,
@@ -387,6 +370,7 @@ _BACKWARD_READS: Dict[str, Tuple[str, ...]] = {
     "softmax": ("out",),
     "log_softmax": ("out",),
     "gcn_layer": ("in0", "in1", "out"),
+    "gram_residual_norm": ("in0", "out"),
 }
 
 
@@ -398,7 +382,7 @@ class Tape:
     replay's outputs are valid until the next replay begins).
     """
 
-    def __init__(self, recorder: TapeRecorder, output_slots: List[int],
+    def __init__(self, recorder: TapeRecorder, output_slot: int,
                  backward_order: List[int], fuse: bool,
                  reuse_buffers: bool, dtype: str) -> None:
         self.dtype = np.float32 if dtype == "float32" else np.float64
@@ -406,7 +390,7 @@ class Tape:
         self.inplace = 0
         self.buffered = 0
         self._watches = list(recorder.watches)
-        self._output_slots = list(output_slots)
+        self._output_slot = output_slot
         self._slot_kinds = list(recorder.slot_kinds)
         self._slot_shapes = list(recorder.slot_shapes)
         self._slot_requires = list(recorder.slot_requires)
@@ -426,9 +410,15 @@ class Tape:
                     op.bwd_flops)
             for op in recorder.ops
         ]
+        # One cast per distinct CSR operand, so the layers sharing a
+        # propagation matrix also share its cached transpose.
+        cast: Dict[int, sp.csr_matrix] = {}
         for op in ops:
-            if "csr" in op.meta and op.meta["csr"].dtype != self.dtype:
-                op.meta["csr"] = op.meta["csr"].astype(self.dtype)
+            csr = op.meta.get("csr")
+            if csr is not None and csr.dtype != self.dtype:
+                if id(csr) not in cast:
+                    cast[id(csr)] = csr.astype(self.dtype)
+                op.meta["csr"] = cast[id(csr)]
         forward, backward_order = (
             self._fuse(ops, backward_order) if fuse
             else (ops, list(backward_order))
@@ -447,8 +437,7 @@ class Tape:
         for op in ops:
             for slot in op.inputs:
                 counts[slot] = counts.get(slot, 0) + 1
-        for slot in self._output_slots:
-            counts[slot] = counts.get(slot, 0) + 1
+        counts[self._output_slot] = counts.get(self._output_slot, 0) + 1
         for _label, slot in self._watches:
             counts[slot] = counts.get(slot, 0) + 1
         return counts
@@ -546,7 +535,7 @@ class Tape:
                     position = int(ref[2:])
                     if position < len(op.inputs):
                         backward_needs.add(op.inputs[position])
-        protected = set(self._output_slots)
+        protected = {self._output_slot}
         protected.update(slot for _label, slot in self._watches)
         protected.update(backward_needs)
         protected.update(aliased)
@@ -568,8 +557,8 @@ class Tape:
                         break
             if op.out in self._inplace_from:
                 continue
-            if op.out in set(self._output_slots):
-                # Outputs stay freshly allocated: the caller may hold
+            if op.out == self._output_slot:
+                # The output stays freshly allocated: the caller may hold
                 # the returned tensor past the next replay.
                 continue
             self._out_buffer[op.out] = np.empty(shape, dtype=self.dtype)
@@ -722,6 +711,16 @@ class Tape:
                     scratch[0] = pre
                     values[out] = np.maximum(pre, 0.0, out=out_arr_fn())
             return fwd
+        if kind == "gram_residual_norm":
+            target = meta["target"]
+            # The forward's (C+Cᵀ)H and HᵀH, kept for the backward.
+            scratch = meta.setdefault("scratch", [None])
+
+            def fwd():
+                values[out], scratch[0] = gram_residual_forward(
+                    target, values[a]
+                )
+            return fwd
         raise AssertionError(f"no forward kernel for op kind {kind!r}")
 
     def _acc(self, grads: list, slot: int, grad: np.ndarray) -> None:
@@ -850,8 +849,8 @@ class Tape:
                 grads, a, g * (values[a] > minimum)
             )
         if kind == "spmm":
-            csr = meta["csr"]
-            return lambda grads, g: acc(grads, a, csr.T @ g)
+            csr_t = transposed_csr(meta["csr"])
+            return lambda grads, g: acc(grads, a, csr_t @ g)
         if kind in ("concat", "stack"):
             axis = meta["axis"]
             slots = ins
@@ -898,7 +897,8 @@ class Tape:
                 acc(grads, a, g - probs * inner)
             return bwd
         if kind == "gcn_layer":
-            csr, activation = meta["csr"], meta["activation"]
+            csr_t = transposed_csr(meta["csr"])
+            activation = meta["activation"]
             scratch = meta.setdefault("scratch", [None])
             h, w = ins
 
@@ -910,12 +910,18 @@ class Tape:
                     g2 = g * (1.0 - values[out] ** 2)
                 else:
                     g2 = g * (scratch[0] > 0.0)
-                gz = csr.T @ g2
+                gz = csr_t @ g2
                 if need_a:
                     acc(grads, h, gz @ values[w].T)
                 if need_b:
                     acc(grads, w, values[h].T @ gz)
             return bwd
+        if kind == "gram_residual_norm":
+            target = meta["target"]
+            scratch = meta.setdefault("scratch", [None])
+            return lambda grads, g: acc(grads, a, gram_residual_adjoint(
+                target, values[out], scratch[0], g
+            ))
         raise AssertionError(f"no backward kernel for op kind {kind!r}")
 
     # -- execution ------------------------------------------------------
@@ -926,14 +932,14 @@ class Tape:
                 data = data.astype(self.dtype)
             self._values[slot] = data
 
-    def replay(self) -> Tuple[List[Tensor], Dict[str, float]]:
-        """Execute the tape forward; return output tensors + watch values.
+    def replay(self) -> Tuple[Tensor, Dict[str, float]]:
+        """Execute the tape forward; return the output tensor + watch values.
 
-        The returned tensors read the replayed values and carry a
+        The returned tensor reads the replayed value and carries a
         backward hook that runs the tape's reverse pass, accumulating
         into the captured parameters' ``.grad`` buffers — so the
         training loop's ``total.backward()`` / ``optimizer.step()``
-        sequence works unchanged.  Outputs stay valid until the next
+        sequence works unchanged.  The output stays valid until the next
         ``replay()`` call (value buffers are reused).
         """
         from ..observability import get_tracer
@@ -957,13 +963,11 @@ class Tape:
             watched[label] = watched.get(label, 0.0) + float(
                 self._values[slot]
             )
-        return self._wrap_outputs(), watched
+        return self._wrap_output(), watched
 
-    def _run_backward(self, seeds: List[Optional[np.ndarray]]) -> None:
+    def _run_backward(self, seed: np.ndarray) -> None:
         grads: List[Optional[np.ndarray]] = [None] * len(self._slot_kinds)
-        for slot, seed in zip(self._output_slots, seeds):
-            if seed is not None:
-                self._acc(grads, slot, seed)
+        self._acc(grads, self._output_slot, seed)
         targets = observers()
         if not targets:
             for op in self._backward_ops:
@@ -982,42 +986,18 @@ class Tape:
                 time.perf_counter() - started, op.bwd_flops, op.shape,
             ))
 
-    def _wrap_outputs(self) -> List[Tensor]:
-        tape = self
-        seeds: List[Optional[np.ndarray]] = [None] * len(
-            self._output_slots
-        )
-        # All outputs hang off one hidden root; each output's backward
-        # stashes its fully-accumulated gradient, and the root (which
-        # the topological order fires last) runs the tape reverse pass.
-        root = Tensor(0.0)
-        root.requires_grad = True
-
-        def root_backward(_grad: np.ndarray) -> None:
-            tape._run_backward(seeds)
-
-        root._backward = root_backward
-        outputs: List[Tensor] = []
-        for position, slot in enumerate(self._output_slots):
-            tensor = Tensor(self._values[slot])
-            # The constructor coerces to float64; outputs must expose the
-            # replayed array itself (float32 under the fast policy).
-            tensor.data = self._values[slot]
-            if self._slot_requires[slot]:
-                tensor.requires_grad = True
-                tensor._parents = (root,)
-                tensor._backward = self._make_stash(position, seeds, root)
-            outputs.append(tensor)
-        return outputs
-
-    @staticmethod
-    def _make_stash(position: int, seeds: list,
-                    root: Tensor) -> Callable[[np.ndarray], None]:
-        def stash(grad: np.ndarray) -> None:
-            seeds[position] = grad
-            root._accumulate(np.zeros((), dtype=root.data.dtype))
-
-        return stash
+    def _wrap_output(self) -> Tensor:
+        # A leaf-like tensor whose backward (fired once its gradient is
+        # fully accumulated) runs the tape's reverse pass.
+        value = self._values[self._output_slot]
+        tensor = Tensor(value)
+        # The constructor coerces to float64; the output must expose the
+        # replayed array itself (float32 under the fast policy).
+        tensor.data = value
+        if self._slot_requires[self._output_slot]:
+            tensor.requires_grad = True
+            tensor._backward = self._run_backward
+        return tensor
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:

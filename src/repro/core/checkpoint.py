@@ -103,8 +103,15 @@ def _load_weights(archive, path: str, config: GAlignConfig) -> List[np.ndarray]:
     return [archive[f"weight_{index}"] for index in expected]
 
 
+#: GAlignConfig fields that older checkpoints may carry but no longer
+#: exist (the retired sampled trainer's switches).
+_RETIRED_CONFIG_KEYS = ("trainer", "sample_batch_size", "sample_negatives")
+
+
 def _config_from_header(header: Dict) -> GAlignConfig:
     config_fields = dict(header["config"])
+    for key in _RETIRED_CONFIG_KEYS:
+        config_fields.pop(key, None)
     if config_fields.get("layer_weights") is not None:
         config_fields["layer_weights"] = list(config_fields["layer_weights"])
     return GAlignConfig(**config_fields)

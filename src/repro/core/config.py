@@ -66,15 +66,6 @@ class GAlignConfig:
     #: Extra ablation (DESIGN.md #5): share weights between the two GCNs.
     share_weights: bool = True
 
-    # --- large-graph mode (DESIGN.md extension) ---
-    #: "dense" trains with the exact Eq 7 loss; "sampled" uses the
-    #: pair-sampled estimator of :mod:`repro.core.sampling` (O(batch) step).
-    trainer: str = "dense"
-    #: Node batch per sampled step (ignored by the dense trainer).
-    sample_batch_size: int = 256
-    #: Uniform negative pairs per batch node (sampled trainer only).
-    sample_negatives: int = 5
-
     # --- compiled execution (repro.autograd.tape) ---
     #: Capture the first epoch's op graph into a tape and replay it for
     #: the remaining epochs: fused GCN kernels, buffer reuse, and no
@@ -109,8 +100,6 @@ class GAlignConfig:
             )
         if self.activation not in ("tanh", "relu", "linear"):
             raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.trainer not in ("dense", "sampled"):
-            raise ValueError(f"unsupported trainer {self.trainer!r}")
         if self.compile_dtype not in ("float32", "float64"):
             raise ValueError(
                 f"unsupported compile_dtype {self.compile_dtype!r}"

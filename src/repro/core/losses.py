@@ -15,7 +15,13 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, frobenius_norm, row_norms, threshold_mask
+from ..autograd import (
+    Tensor,
+    gram_residual_norm,
+    gram_target,
+    row_norms,
+    threshold_mask,
+)
 
 __all__ = ["consistency_loss", "adaptivity_loss", "combined_loss"]
 
@@ -33,14 +39,17 @@ def consistency_loss(
     The target is the normalized Laplacian rather than the adjacency matrix
     — the paper's choice to enrich embeddings with topology while keeping
     the spectrum bounded (avoids collapsing the embedding space).
+
+    Each term is one :func:`~repro.autograd.ops.gram_residual_norm`: one
+    sparse product and two n·d² GEMMs, no n×n array (§VI-C's O(ed + nd²)
+    bound).  ‖C‖²_F and C + Cᵀ are derived once per propagation matrix.
     """
     if len(embeddings) < 2:
         raise ValueError("need at least one trained layer (k >= 1)")
-    dense_target = np.asarray(propagation.todense())
+    target = gram_target(propagation)
     total = None
     for hidden in embeddings[1:]:
-        gram = hidden @ hidden.T
-        term = frobenius_norm(Tensor(dense_target) - gram)
+        term = gram_residual_norm(target, hidden)
         total = term if total is None else total + term
     return total
 

@@ -222,7 +222,7 @@ class GAlignTrainer:
 
         loss_fn = compute_losses
         if config.compile:
-            # The dense loss is fully static (fixed propagations, fixed
+            # The loss is fully static (fixed propagations, fixed
             # views): capture epoch 0, replay the tape thereafter.
             loss_fn = CompiledLoss(
                 compute_losses,

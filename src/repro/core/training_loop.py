@@ -1,12 +1,10 @@
-"""Shared resilient epoch loop for the dense and sampled trainers.
+"""The resilient epoch loop of :class:`~repro.core.trainer.GAlignTrainer`.
 
-Both :class:`~repro.core.trainer.GAlignTrainer` and
-:class:`~repro.core.sampling.SampledGAlignTrainer` run the same outer
-loop: zero grads, compute the Alg 1 loss, backward, clip, step, log.
-They differ only in *how* the loss is computed, so that part arrives
-here as a ``compute_losses(epoch)`` callable and everything around it —
-numerical-health guards, rollback recovery, fault-injection hooks, and
-v2 checkpoint save/resume — lives in one place.
+The outer loop is: zero grads, compute the Alg 1 loss, backward, clip,
+step, log.  The loss arrives as a ``compute_losses(epoch)`` callable
+(eager, or a :class:`CompiledLoss` replaying a tape), and everything
+around it — numerical-health guards, rollback recovery, fault-injection
+hooks, and v2 checkpoint save/resume — lives here.
 
 Resume semantics (the property the kill/resume tests pin down): a
 trainer first replays its deterministic prefix (model init, augmented
@@ -50,9 +48,8 @@ class CompiledLoss:
     The eager closure must register the diagnostics it folds into its
     float returns with :func:`repro.autograd.tape_watch` under the
     labels ``"consistency"`` and ``"adaptivity"``; the replay path
-    reads them back from the tape.  Only fully static losses qualify —
-    anything data-dependent (the sampled trainer's per-epoch batches)
-    needs the hybrid split in :mod:`repro.core.sampling` instead.
+    reads them back from the tape.  Only fully static losses qualify:
+    nothing in them may be drawn afresh per epoch.
     """
 
     def __init__(
@@ -73,7 +70,7 @@ class CompiledLoss:
             with get_tracer().span("tape.capture"):
                 with recorder:
                     total, consistency, adaptivity = self._eager(epoch)
-            self.tape = recorder.finalize([total], dtype=self._dtype)
+            self.tape = recorder.finalize(total, dtype=self._dtype)
             return total, consistency, adaptivity
         timed = (
             self._registry.timed("trainer.forward_time")
@@ -81,7 +78,7 @@ class CompiledLoss:
             else nullcontext()
         )
         with timed:
-            (total,), watched = self.tape.replay()
+            total, watched = self.tape.replay()
         return (
             total,
             watched.get("consistency", 0.0),

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from repro.autograd import (
     Tensor,
     spmm,
+    gram_residual_norm,
+    gram_target,
     concat,
     stack,
     row_norms,
@@ -152,6 +154,11 @@ class TestBackwardGuards:
         "spmm": lambda t: spmm(
             sp.random(4, 4, density=0.5, random_state=1, format="csr"), t
         ),
+        "gram_residual_norm": lambda t: gram_residual_norm(
+            gram_target(
+                sp.random(4, 4, density=0.5, random_state=1, format="csr")
+            ), t
+        ),
         "threshold_mask": lambda t: threshold_mask(t, threshold=0.5),
         "softmax": lambda t: softmax(t),
         "log_softmax": lambda t: log_softmax(t),
@@ -185,6 +192,14 @@ class TestGradcheckCoverage:
         "spmm": lambda rng: gradcheck(
             lambda d: spmm(
                 sp.random(5, 5, density=0.5, random_state=2, format="csr"), d
+            ),
+            [Tensor(rng.normal(size=(5, 2)), requires_grad=True)],
+        ),
+        "gram_residual_norm": lambda rng: gradcheck(
+            lambda h: gram_residual_norm(
+                gram_target(
+                    sp.random(5, 5, density=0.5, random_state=2, format="csr")
+                ), h
             ),
             [Tensor(rng.normal(size=(5, 2)), requires_grad=True)],
         ),
@@ -273,7 +288,7 @@ class TestPrimitiveRegistry:
     def test_every_graph_op_is_declared_once(self):
         from repro.autograd.primitives import PRIMITIVES
 
-        assert len(PRIMITIVES) == 25  # 19 Tensor methods + 6 ops functions
+        assert len(PRIMITIVES) == 26  # 19 Tensor methods + 7 ops functions
         for name in ("matmul", "spmm", "concat", "softmax", "getitem"):
             assert name in PRIMITIVES
 

@@ -69,6 +69,52 @@ class TestCheckpointRoundtrip:
             load_model(path)
 
 
+def _rewrite_header(path, **fields):
+    """Add ``fields`` to the saved config, as an older release wrote it."""
+    import json
+
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(bytes(arrays["header"].tobytes()).decode())
+    header["config"].update(fields)
+    arrays["header"] = np.frombuffer(
+        json.dumps(header).encode(), dtype=np.uint8
+    )
+    np.savez(path, **arrays)
+
+
+#: Config keys of the retired sampled trainer, as older checkpoints hold.
+RETIRED_KEYS = dict(trainer="sampled", sample_batch_size=256,
+                    sample_negatives=5)
+
+
+class TestRetiredConfigKeys:
+    def test_model_checkpoint_with_retired_keys_loads(self, trained,
+                                                      tmp_path):
+        pair, model, config = trained
+        path = str(tmp_path / "model.npz")
+        save_model(model, path)
+        _rewrite_header(path, **RETIRED_KEYS)
+        reloaded, restored_config = load_model(path)
+        assert restored_config == config
+        for original, restored in zip(
+            model.embed(pair.source), reloaded.embed(pair.source)
+        ):
+            np.testing.assert_array_equal(restored, original)
+
+    def test_training_checkpoint_with_retired_keys_loads(self, trained,
+                                                         tmp_path):
+        pair, _, config = trained
+        path = str(tmp_path / "train.npz")
+        GAlignTrainer(config, np.random.default_rng(0)).train(
+            pair, checkpoint_path=path
+        )
+        _rewrite_header(path, **RETIRED_KEYS)
+        checkpoint = load_training_checkpoint(path)
+        assert checkpoint.config == config
+        assert checkpoint.epoch == config.epochs - 1
+
+
 class TestCorruptArchives:
     """Damaged checkpoints fail with a ValueError naming the file,
     never a bare KeyError from np.load."""

@@ -10,7 +10,6 @@ from repro.core import (
     GAlign,
     GAlignConfig,
     GAlignTrainer,
-    SampledGAlignTrainer,
     StreamingAligner,
 )
 from repro.eval import ExperimentRunner, MethodSpec, format_metrics_table
@@ -407,15 +406,6 @@ class TestInstrumentedComponents:
         GAlignTrainer(config, np.random.default_rng(0),
                       registry=registry).train(tiny_pair)
         assert epochs == list(range(config.epochs))
-
-    def test_sampled_trainer_records_metrics(self, tiny_pair):
-        registry = MetricsRegistry()
-        config = tiny_config()
-        trainer = SampledGAlignTrainer(config, np.random.default_rng(0),
-                                       batch_size=8, registry=registry)
-        trainer.train(tiny_pair)
-        assert registry.counter("trainer.epochs").value == config.epochs
-        assert registry.gauge("trainer.batch_nodes").last == 8
 
     def test_refiner_records_iteration_metrics(self, tiny_pair):
         registry = MetricsRegistry()

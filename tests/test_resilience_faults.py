@@ -15,7 +15,6 @@ import pytest
 from repro.core import (
     GAlignConfig,
     GAlignTrainer,
-    SampledGAlignTrainer,
     load_model,
     load_training_checkpoint,
 )
@@ -114,18 +113,6 @@ class TestNanGradientRecovery:
         assert recoveries[0]["reason"] == "nonfinite_gradients"
         assert recoveries[0]["learning_rate"] == pytest.approx(0.01)
 
-    def test_sampled_trainer_recovers_too(self, pair):
-        registry = MetricsRegistry()
-        injector = FaultInjector([Fault("nan_gradient", 3)],
-                                 registry=registry)
-        trainer = SampledGAlignTrainer(
-            _config(), np.random.default_rng(7), batch_size=8,
-            registry=registry, fault_injector=injector,
-        )
-        _, log = trainer.train(pair)
-        assert registry.counter("resilience.recoveries").value == 1
-        assert np.isfinite(log.final_loss)
-
     def test_budget_exhaustion_raises_diverged(self, pair):
         # One NaN injection per epoch, budget 2: the third strike raises.
         registry = MetricsRegistry()
@@ -141,16 +128,11 @@ class TestNanGradientRecovery:
 
 
 class TestKillResumeDeterminism:
-    @pytest.mark.parametrize("mode", ["dense", "sampled"])
+    @pytest.mark.parametrize("mode", ["dense"])
     def test_resumed_run_matches_uninterrupted(self, pair, tmp_path, mode):
         config = _config()
 
         def make_trainer(fault_injector=None):
-            if mode == "sampled":
-                return SampledGAlignTrainer(
-                    config, np.random.default_rng(11), batch_size=8,
-                    fault_injector=fault_injector,
-                )
             return GAlignTrainer(config, np.random.default_rng(11),
                                  fault_injector=fault_injector)
 

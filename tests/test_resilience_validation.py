@@ -8,7 +8,6 @@ from repro.core import (
     AlignmentRefiner,
     GAlignConfig,
     GAlignTrainer,
-    SampledGAlignTrainer,
     StreamingAligner,
 )
 from repro.graphs import AlignmentPair, AttributedGraph, generators
@@ -103,13 +102,6 @@ class TestTrainerEntryPoints:
 
     def test_dense_trainer_rejects_nan_features(self, nan_pair):
         trainer = GAlignTrainer(self.CONFIG, np.random.default_rng(0))
-        with pytest.raises(GraphValidationError, match="non-finite"):
-            trainer.train(nan_pair)
-
-    def test_sampled_trainer_rejects_nan_features(self, nan_pair):
-        trainer = SampledGAlignTrainer(
-            self.CONFIG, np.random.default_rng(0), batch_size=4
-        )
         with pytest.raises(GraphValidationError, match="non-finite"):
             trainer.train(nan_pair)
 

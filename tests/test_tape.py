@@ -23,11 +23,12 @@ from repro.autograd import (
     spmm,
     tape_watch,
 )
-from repro.core import GAlignConfig
-from repro.core.sampling import SampledGAlignTrainer
+from repro.core import GAlignConfig, consistency_loss
 from repro.core.trainer import GAlignTrainer
-from repro.graphs import generators, noisy_copy_pair
+from repro.graphs import generators, noisy_copy_pair, propagation_matrix
 from repro.observability import OpProfiler, Tracer, format_op_table, use_tracer
+
+from .test_core_losses import CLIQUE_NOISE, dense_residual, planted_cliques
 
 MODES = [
     pytest.param(fuse, reuse, id=f"fuse={fuse}-reuse={reuse}")
@@ -57,6 +58,25 @@ def make_gcn_loss(seed=0, n=14, d=6):
     return loss_fn, [w1, w2]
 
 
+def make_consistency_loss(seed=0, n=30, d=5):
+    """A two-layer GCN trained by Eq 7 (the gram_residual_norm op)."""
+    rng = np.random.default_rng(seed)
+    graph = generators.barabasi_albert(n, 2, rng, feature_dim=d)
+    prop = propagation_matrix(graph)
+    features = Tensor(graph.features)
+    w1 = Tensor(rng.normal(size=(d, d)) * 0.5, requires_grad=True)
+    w2 = Tensor(rng.normal(size=(d, d)) * 0.5, requires_grad=True)
+
+    def loss_fn():
+        h1 = spmm(prop, features.matmul(w1)).tanh()
+        h2 = spmm(prop, h1.matmul(w2)).tanh()
+        j_gram = consistency_loss(prop, [features, h1, h2])
+        j_reg = (h2 * h2).sum() * 0.01
+        return j_gram * 0.8 + j_reg, j_gram, j_reg
+
+    return loss_fn, [w1, w2]
+
+
 def capture(loss_fn):
     recorder = TapeRecorder()
     with recorder:
@@ -80,17 +100,63 @@ class TestBitwiseReplay:
 
         recorder, total = capture(loss_fn)
         tape = recorder.finalize(
-            [total], fuse=fuse, reuse_buffers=reuse, dtype="float64"
+            total, fuse=fuse, reuse_buffers=reuse, dtype="float64"
         )
         for _replay in range(3):  # replays must not corrupt each other
             for param in params:
                 param.zero_grad()
-            (out,), watched = tape.replay()
+            out, watched = tape.replay()
             out.backward()
             assert out.data.tobytes() == eager_loss.tobytes()
             assert (watched["gram"], watched["reg"]) == eager_watch
             for param, eager_grad in zip(params, eager_grads):
                 assert param.grad.tobytes() == eager_grad.tobytes()
+
+    @pytest.mark.parametrize("fuse,reuse", MODES)
+    def test_float64_consistency_replay_matches_eager_bitwise(
+        self, fuse, reuse
+    ):
+        loss_fn, params = make_consistency_loss()
+        for param in params:
+            param.zero_grad()
+        eager_total, eager_gram, _ = loss_fn()
+        eager_total.backward()
+        eager_grads = [param.grad.copy() for param in params]
+
+        recorder, total = capture(loss_fn)
+        tape = recorder.finalize(
+            total, fuse=fuse, reuse_buffers=reuse, dtype="float64"
+        )
+        assert tape.op_kinds().count("gram_residual_norm") == 2
+        for _replay in range(3):
+            for param in params:
+                param.zero_grad()
+            out, watched = tape.replay()
+            out.backward()
+            assert out.data.tobytes() == eager_total.data.tobytes()
+            assert watched["gram"] == float(eager_gram.data)
+            for param, eager_grad in zip(params, eager_grads):
+                assert param.grad.tobytes() == eager_grad.tobytes()
+
+    @pytest.mark.parametrize("noise", CLIQUE_NOISE)
+    def test_float32_replay_keeps_the_cancellation_guard(self, noise):
+        prop, h = planted_cliques(noise)
+        hidden = Tensor(h, requires_grad=True)
+        features = Tensor(np.ones((len(h), 1)))
+        recorder = TapeRecorder()
+        with recorder:
+            loss = consistency_loss(prop, [features, hidden])
+        tape = recorder.finalize(loss, dtype="float32")
+        out, _ = tape.replay()
+        out.backward()
+        # The op upcasts the float32 H it is handed and evaluates in
+        # float64, so it matches the dense norm of that same H.
+        value, grad = dense_residual(prop, h.astype(np.float32))
+        assert out.data.dtype == np.float64
+        assert abs(float(out.data) - value) <= 1e-9 * value
+        np.testing.assert_allclose(
+            hidden.grad, grad, rtol=0.0, atol=1e-5 * np.max(np.abs(grad))
+        )
 
     @pytest.mark.parametrize("fuse,reuse", MODES)
     def test_float32_replay_matches_eager_to_tolerance(self, fuse, reuse):
@@ -103,11 +169,11 @@ class TestBitwiseReplay:
 
         recorder, total = capture(loss_fn)
         tape = recorder.finalize(
-            [total], fuse=fuse, reuse_buffers=reuse, dtype="float32"
+            total, fuse=fuse, reuse_buffers=reuse, dtype="float32"
         )
         for param in params:
             param.zero_grad()
-        (out,), _ = tape.replay()
+        out, _ = tape.replay()
         out.backward()
         assert out.data.dtype == np.float32
         np.testing.assert_allclose(
@@ -123,11 +189,11 @@ class TestBitwiseReplay:
     def test_replay_reads_parameters_live(self):
         loss_fn, params = make_gcn_loss()
         recorder, total = capture(loss_fn)
-        tape = recorder.finalize([total], dtype="float64")
+        tape = recorder.finalize(total, dtype="float64")
         params[0].data += 0.125  # update AFTER finalize
         for param in params:
             param.zero_grad()
-        (out,), _ = tape.replay()
+        out, _ = tape.replay()
         out.backward()
         replay_loss = float(out.data)
         replay_grad = params[0].grad.copy()
@@ -144,7 +210,7 @@ class TestBitwiseReplay:
         loss_eager, params_eager = make_gcn_loss(seed=3)
         loss_comp, params_comp = make_gcn_loss(seed=3)
         recorder, total = capture(loss_comp)
-        tape = recorder.finalize([total], dtype="float64")
+        tape = recorder.finalize(total, dtype="float64")
         opt_eager = Adam(params_eager, lr=0.05)
         opt_comp = Adam(params_comp, lr=0.05)
         for _step in range(4):
@@ -154,7 +220,7 @@ class TestBitwiseReplay:
             opt_eager.step()
 
             opt_comp.zero_grad()
-            (out,), _ = tape.replay()
+            out, _ = tape.replay()
             out.backward()
             opt_comp.step()
             assert float(out.data) == float(eager_total.data)
@@ -166,12 +232,12 @@ class TestFusion:
     def test_gcn_pattern_fuses(self):
         loss_fn, _params = make_gcn_loss()
         recorder, total = capture(loss_fn)
-        tape = recorder.finalize([total], fuse=True, dtype="float64")
+        tape = recorder.finalize(total, fuse=True, dtype="float64")
         kinds = tape.op_kinds()
         assert kinds.count("gcn_layer") == 2  # one per layer (tanh + relu)
         assert "spmm" not in kinds  # both spmms were absorbed
         assert tape.fused == 2
-        unfused = recorder.finalize([total], fuse=False, dtype="float64")
+        unfused = recorder.finalize(total, fuse=False, dtype="float64")
         assert "gcn_layer" not in unfused.op_kinds()
         assert len(tape) == len(unfused) - 2 * 2  # 3 ops -> 1, twice
 
@@ -186,7 +252,7 @@ class TestFusion:
             # ``pre`` feeds both tanh and an extra consumer: fusing would
             # delete a value another op still needs.
             total = (pre.tanh().sum() + pre.sum())
-        tape = recorder.finalize([total], fuse=True, dtype="float64")
+        tape = recorder.finalize(total, fuse=True, dtype="float64")
         assert "gcn_layer" not in tape.op_kinds()
 
     def test_watched_intermediate_blocks_fusion(self):
@@ -199,7 +265,7 @@ class TestFusion:
             pre = spmm(adjacency, h.matmul(w))
             tape_watch(pre.sum(), "pre")  # watch hangs off the spmm output
             total = pre.tanh().sum()
-        tape = recorder.finalize([total], fuse=True, dtype="float64")
+        tape = recorder.finalize(total, fuse=True, dtype="float64")
         assert "gcn_layer" not in tape.op_kinds()
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -221,13 +287,13 @@ class TestFusion:
             out = z.tanh() if activation == "tanh" else z.relu()
             total = (out * out).sum()
         tape = recorder.finalize(
-            [total], fuse=fuse, reuse_buffers=reuse, dtype=dtype
+            total, fuse=fuse, reuse_buffers=reuse, dtype=dtype
         )
         if fuse:
             assert "gcn_layer" in tape.op_kinds()
 
         def replay_fn(_h, _w):
-            (out,), _ = tape.replay()
+            out, _ = tape.replay()
             return out
 
         if dtype == "float64":
@@ -242,12 +308,12 @@ class TestBufferReuse:
         loss_fn, _params = make_gcn_loss()
         recorder, total = capture(loss_fn)
         tape = recorder.finalize(
-            [total], fuse=True, reuse_buffers=True, dtype="float64"
+            total, fuse=True, reuse_buffers=True, dtype="float64"
         )
         assert tape.buffered > 0
         assert tape.inplace > 0
         bare = recorder.finalize(
-            [total], fuse=True, reuse_buffers=False, dtype="float64"
+            total, fuse=True, reuse_buffers=False, dtype="float64"
         )
         assert bare.buffered == 0 and bare.inplace == 0
 
@@ -263,8 +329,8 @@ class TestBufferReuse:
             total = (doubled * 3.0).sum() + view.sum()
         x.zero_grad()
         eager = (x.data * 2.0 * 3.0).sum() + (x.data * 2.0).T.sum()
-        tape = recorder.finalize([total], reuse_buffers=True, dtype="float64")
-        (out,), _ = tape.replay()
+        tape = recorder.finalize(total, reuse_buffers=True, dtype="float64")
+        out, _ = tape.replay()
         out.backward()
         assert float(out.data) == pytest.approx(float(eager))
         # d(total)/d(doubled) = 3 + 1, times d(doubled)/dx = 2.
@@ -293,8 +359,8 @@ class TestRecorder:
         assert [label for label, _ in outer.watches] == ["total"]
         assert [label for label, _ in inner.watches] == ["total"]
         for recorder in (outer, inner):
-            (out,), watched = recorder.finalize(
-                [total], dtype="float64").replay()
+            out, watched = recorder.finalize(
+                total, dtype="float64").replay()
             assert float(out.data) == watched["total"] == 12.0
 
     def test_finalize_requires_recorded_output(self):
@@ -302,7 +368,7 @@ class TestRecorder:
         with recorder:
             Tensor(np.ones(2), requires_grad=True).sum()
         with pytest.raises(ValueError, match="not recorded"):
-            recorder.finalize([Tensor(1.0)])
+            recorder.finalize(Tensor(1.0))
 
     def test_capture_leaves_class_and_module_unchanged(self):
         from repro.autograd import ops as ops_module
@@ -377,24 +443,6 @@ class TestTrainerIntegration:
             compiled_log.total, eager_log.total, rtol=1e-4
         )
 
-    def test_sampled_compiled_matches_eager(self):
-        pair = profile_pair()
-        config = galign_config(trainer="sampled")
-        _, eager_log = SampledGAlignTrainer(
-            config, np.random.default_rng(0), batch_size=12, num_negatives=3
-        ).train(pair)
-        compiled = galign_config(
-            trainer="sampled", compile=True, compile_dtype="float64"
-        )
-        _, compiled_log = SampledGAlignTrainer(
-            compiled, np.random.default_rng(0), batch_size=12,
-            num_negatives=3,
-        ).train(pair)
-        # Hybrid static/dynamic accumulation: tolerance, not bitwise.
-        np.testing.assert_allclose(
-            compiled_log.total, eager_log.total, rtol=1e-9
-        )
-
     def test_dense_compiled_without_augmentation(self):
         pair = profile_pair()
         eager_kwargs = galign_config(use_augmentation=False)
@@ -439,11 +487,11 @@ class TestObservabilityIntegration:
 
         recorder, total = capture(loss_fn)
         tape = recorder.finalize(
-            [total], fuse=False, reuse_buffers=False, dtype="float64"
+            total, fuse=False, reuse_buffers=False, dtype="float64"
         )
         replayed = OpProfiler(trace_ops=False)
         with replayed.enabled():
-            (out,), _ = tape.replay()
+            out, _ = tape.replay()
             out.backward()
 
         def table(profiler):
